@@ -45,7 +45,6 @@ from .machines import (
 from .optimizer import (
     OptimizationResult,
     average_fidelity,
-    average_fidelity_quadrature,
     optimize_average,
     optimize_equal_fidelity,
     scan_feasible_region,
@@ -81,7 +80,6 @@ __all__ = [
     "ValidationReport",
     "attack_analysis",
     "average_fidelity",
-    "average_fidelity_quadrature",
     "b92_pair",
     "bloch_state",
     "builtin_spec",

@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", parents=[common],
                        help="optimize machine parameters")
     p.add_argument("--mode", required=True, choices=("equal-fidelity", "average"))
-    p.add_argument("--grid-step", type=float, default=1e-3, dest="grid_step",
-                   metavar="H")
 
     p = sub.add_parser("scan", parents=[common],
                        help="grid scan of the realizable parameter region")
@@ -185,9 +183,9 @@ def _cmd_fidelity(args):
 
 def _cmd_optimize(args):
     if args.mode == "equal-fidelity":
-        result = optimizer.optimize_equal_fidelity(grid_step=args.grid_step)
+        result = optimizer.optimize_equal_fidelity()
     else:
-        result = optimizer.optimize_average(grid_step=args.grid_step)
+        result = optimizer.optimize_average()
     p = result.params
     items = [("mode", args.mode), ("zeta", p.zeta), ("eta", p.eta),
              ("kappa", p.kappa), ("fidelity", result.objective)]

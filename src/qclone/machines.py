@@ -196,9 +196,10 @@ class ValidationReport:
 def validate_unitarity(spec: CloningSpec) -> ValidationReport:
     """Residuals of the unitarity conditions on an explicit spec.
 
-    Reports the two row-norm sums <Qi|Qi> + 2 <Yi|Yi> - 1, the cross sum
-    2 <Y0|Y1> between the two basis rules, plus the equal-Y-norm and
-    Y-orthogonality invariants. Passes iff all magnitudes are <= 1e-10.
+    Reports the two row-norm sums <Qi|Qi> + 2 <Yi|Yi> - 1, the
+    Y-orthogonality |<Y0|Y1>| that the cross terms between the two basis
+    rules require to vanish, and the equal-Y-norm invariant. Passes iff all
+    magnitudes are <= 1e-10.
     """
     if spec.variant != "explicit":
         raise ValueError("validate_unitarity applies to explicit specs only")
@@ -210,7 +211,6 @@ def validate_unitarity(spec: CloningSpec) -> ValidationReport:
     residuals = {
         "row0_norm": qq0 + 2 * yy0 - 1.0,
         "row1_norm": qq1 + 2 * yy1 - 1.0,
-        "cross_sum": 2 * abs(y0y1),
         "y_orthogonality": abs(y0y1),
         "y_norm_balance": yy0 - yy1,
     }
@@ -429,26 +429,45 @@ def spec_to_dict(spec: CloningSpec) -> dict:
     return doc
 
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; bools, strings and out-of-range ints are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {what} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"field {what} is out of range") from None
+
+
 def spec_from_dict(doc: dict) -> CloningSpec:
+    """Build a spec from a parsed machine file, rejecting every malformed field
+    with a ValueError."""
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ValueError("machine file must be a mapping with a 'variant' field")
     variant = doc["variant"]
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"field name must be a string, got {type(name).__name__}")
     if variant == "explicit":
         missing = [k for k in ("apparatus_dim", "Q0", "Q1", "Y0", "Y1") if k not in doc]
         if missing:
             raise ValueError(f"explicit machine file is missing fields: {missing}")
+        dim = doc["apparatus_dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(
+                f"field apparatus_dim must be an integer, got {type(dim).__name__}")
         vecs = {}
         for key in ("Q0", "Q1", "Y0", "Y1"):
             pairs = doc[key]
-            try:
-                vecs[key] = np.array([complex(re, im) for re, im in pairs])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"field {key} must be a list of [re, im] pairs") from exc
+            if not isinstance(pairs, list) or not all(
+                    isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+                raise ValueError(f"field {key} must be a list of [re, im] pairs")
+            vecs[key] = np.array([complex(_real(re, key), _real(im, key))
+                                  for re, im in pairs], dtype=np.complex128)
         return CloningSpec(
             variant="explicit",
             name=name,
-            apparatus_dim=doc["apparatus_dim"],
+            apparatus_dim=dim,
             q0=vecs["Q0"],
             q1=vecs["Q1"],
             y0=vecs["Y0"],
@@ -457,7 +476,8 @@ def spec_from_dict(doc: dict) -> CloningSpec:
     if variant == "channel":
         if "fidelity" not in doc:
             raise ValueError("channel machine file is missing the 'fidelity' field")
-        return CloningSpec(variant="channel", name=name, clone_fidelity=doc["fidelity"])
+        return CloningSpec(variant="channel", name=name,
+                           clone_fidelity=_real(doc["fidelity"], "fidelity"))
     raise ValueError(f"unknown variant {variant!r} in machine file")
 
 
@@ -475,4 +495,6 @@ def load_spec(path) -> CloningSpec:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"machine file {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ValueError(f"machine file {path} is nested too deeply") from None
     return spec_from_dict(doc)

@@ -1,4 +1,4 @@
-"""Average fidelity over the Eastern meridian and machine-parameter search.
+"""Average fidelity over the Eastern meridian and the optimal machine parameters.
 
 The objective is the uniform-in-theta mean of the Eastern-branch fidelity,
 
@@ -6,23 +6,28 @@ The objective is the uniform-in-theta mean of the Eastern-branch fidelity,
 
 maximized over the realizable region kappa^2 + eta^2 <= 4 zeta (1 - 2 zeta)
 (the Cauchy-Schwarz bounds alone leave Favg unbounded above 1, so the Gram
-positivity condition is what actually constrains the search; the result
+positivity condition is what actually constrains the optimum; the result
 notes record how the free optimum compares with the equal-fidelity point).
 
-Two modes are provided:
+Both modes have closed-form optima:
 
   * equal-fidelity: maximize the common value F(0) = F(pi/2) = F(pi) on the
     Eastern branch. Equality at 0 and pi is automatic; equality at pi/2
-    forces kappa = 1 - eta - 2 zeta, and the optimum is the unique boundary
-    point (1/10, 2/5, 2/5) with F = 0.90.
+    forces kappa = 1 - eta - 2 zeta, and the common value is 1 - zeta. On
+    that line the Gram margin 4 zeta (1 - 2 zeta) - kappa^2 - eta^2 is a
+    concave quadratic in eta, largest at eta = kappa = (1 - 2 zeta) / 2,
+    where it equals (1 - 2 zeta)(10 zeta - 1) / 2. Feasibility therefore
+    reduces to zeta >= 1/10, and the unique optimum is the boundary point
+    (1/10, 2/5, 2/5) with F = 0.90.
   * average: maximize Favg itself, which gives a slightly larger mean at
-    the cost of unequal anchor fidelities.
-
-Both searches are deterministic: a dense grid pass followed by local
-coordinate refinement with step halving down to 1e-10 (no stochastic
-search). The average-mode refinement walks box coordinates (zeta, polar
-angle, radial fraction) in which the curved feasibility boundary becomes a
-coordinate plane, so single-coordinate moves cannot wedge against it.
+    the cost of unequal anchor fidelities. For fixed zeta, Favg is affine in
+    (eta, kappa) with gradient (1, 4/pi)/4, so its maximum on the quarter
+    disk of radius r = 2 sqrt(zeta (1 - 2 zeta)) is (eta, kappa) =
+    r (1, 4/pi) / c with c = sqrt(1 + 16/pi^2), and Favg = (3 - 2 zeta +
+    c r) / 4. Setting the zeta-derivative to zero and squaring gives
+    (16 c^2 + 8) zeta^2 - (8 c^2 + 4) zeta + c^2 = 0, whose discriminant is
+    16 (2 c^2 + 1); the stationary point (zeta < 1/4) is the smaller root,
+    zeta* = (1 - 1 / sqrt(2 c^2 + 1)) / 4.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import numpy as np
 
 from .machines import BHParams, feasible
 
-_REFINE_STEP_MIN = 1e-10
 _FOUR_OVER_PI = 4.0 / np.pi
 
 
@@ -45,27 +49,9 @@ def average_fidelity(p: BHParams) -> float:
     return (3.0 - 2.0 * p.zeta + p.eta + _FOUR_OVER_PI * p.kappa) / 4.0
 
 
-def average_fidelity_quadrature(p: BHParams, nodes: int = 100_000) -> float:
-    """Trapezoid-rule mean of the Eastern-branch fidelity over [0, pi].
-
-    Agrees with average_fidelity to well below 1e-8 at 1e5 nodes; exists as
-    the numerical cross-check of the closed form.
-    """
-    if not feasible(p):
-        raise ValueError(
-            f"parameters (zeta={p.zeta}, eta={p.eta}, kappa={p.kappa}) are not realizable")
-    nodes = int(nodes)
-    if nodes < 16:
-        raise ValueError(f"need at least 16 quadrature nodes, got {nodes}")
-    theta = np.linspace(0.0, np.pi, nodes)
-    st = np.sin(theta)
-    f = (1 - p.zeta) - 0.5 * (1 - p.eta - 2 * p.zeta) * st * st + (p.kappa / 2) * st
-    return float(np.trapezoid(f, theta) / np.pi)
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of a parameter search."""
+    """Optimal machine of one mode, with its objective value and active bounds."""
 
     params: BHParams
     objective: float
@@ -85,151 +71,37 @@ def _boundary_flags(p: BHParams, tol: float = 1e-6) -> dict:
     }
 
 
-def _pattern_search(start, objective, step, lo, hi):
-    """Compass search on a box: cycle +/-step moves per coordinate, halve the
-    step when no move improves, stop below _REFINE_STEP_MIN."""
-    x = np.array(start, dtype=float)
-    best = objective(x)
-    h = float(step)
-    while h > _REFINE_STEP_MIN:
-        improved = False
-        for i in range(len(x)):
-            for delta in (h, -h):
-                trial = x.copy()
-                trial[i] = min(max(trial[i] + delta, lo[i]), hi[i])
-                val = objective(trial)
-                if val > best:
-                    x, best = trial, val
-                    improved = True
-        if not improved:
-            h /= 2
-    return x, best
-
-
-def optimize_equal_fidelity(grid_step: float = 1e-3) -> OptimizationResult:
+def optimize_equal_fidelity() -> OptimizationResult:
     """Best machine with equal fidelity at the three anchor states.
 
     Maximizes F(0) subject to F(0) = F(pi) = F(pi/2) on the Eastern branch
     (which pins kappa = 1 - eta - 2 zeta) over the realizable region. The
-    common value is 1 - zeta, so the search minimizes zeta; the optimum is
-    (1/10, 2/5, 2/5) with fidelity 0.90.
+    common value is 1 - zeta, and the smallest realizable zeta on that line
+    is 1/10, so the optimum is (1/10, 2/5, 2/5) with fidelity 0.90.
     """
-    grid_step = _checked_step(grid_step)
-
-    def margin(z, e):
-        k = 1.0 - e - 2.0 * z
-        if k < 0.0 or e < 0.0 or not 0.0 <= z <= 0.5:
-            return -np.inf
-        return 4 * z * (1 - 2 * z) - k * k - e * e
-
-    # dense grid: smallest feasible zeta, margin-maximizing eta as tie-break
-    zs = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
-    es = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    zz, ee = np.meshgrid(zs, es, indexing="ij")
-    kk = 1.0 - ee - 2.0 * zz
-    mm = 4 * zz * (1 - 2 * zz) - kk * kk - ee * ee
-    feas = (kk >= 0.0) & (mm >= 0.0)
-    if not feas.any():
-        raise RuntimeError("grid found no feasible equal-fidelity point")
-    zi = np.nonzero(feas.any(axis=1))[0][0]
-    row = np.where(feas[zi], mm[zi], -np.inf)
-    z, e = float(zs[zi]), float(es[int(row.argmax())])
-
-    # refinement: shrink zeta while a feasible eta exists nearby
-    h = grid_step
-    while h > _REFINE_STEP_MIN:
-        moved = False
-        while margin(z, e + h) > margin(z, e):
-            e += h
-            moved = True
-        while margin(z, e - h) > margin(z, e):
-            e -= h
-            moved = True
-        for de in (0.0, h, -h):
-            if z - h >= 0.0 and margin(z - h, e + de) >= 0.0:
-                z -= h
-                e += de
-                moved = True
-                break
-        if not moved:
-            h /= 2
-    params = BHParams(z, e, 1.0 - e - 2.0 * z)
+    zeta = 0.1
+    eta = kappa = (1.0 - 2.0 * zeta) / 2.0
+    params = BHParams(zeta, eta, kappa)
     return OptimizationResult(
         params=params,
-        objective=1.0 - z,
+        objective=1.0 - zeta,
         mode="equal-fidelity",
         boundary_active=_boundary_flags(params),
     )
 
 
-def optimize_average(grid_step: float = 1e-3) -> OptimizationResult:
+def optimize_average() -> OptimizationResult:
     """Maximize the mean Eastern-meridian fidelity over the realizable set.
 
-    Dense grid over (zeta, eta, kappa), then compass refinement in the box
-    coordinates zeta, psi = atan2(kappa, eta), and radial fraction of the
-    feasibility disk radius 2 sqrt(zeta (1 - 2 zeta)).
+    The optimum lies on the Gram boundary at zeta* = (1 - 1/sqrt(2 c^2 + 1))/4,
+    the smaller root of (16 c^2 + 8) zeta^2 - (8 c^2 + 4) zeta + c^2 = 0, with
+    (eta, kappa) = r (1, 4/pi) / c, r = 2 sqrt(zeta* (1 - 2 zeta*)) and
+    c = sqrt(1 + 16/pi^2).
     """
-    grid_step = _checked_step(grid_step)
-
-    # dense grid pass; the objective is linear in (eta, kappa), so sorting
-    # the 2-d (eta, kappa) grid by disk radius once lets every zeta slice
-    # read off its constrained maximum with a binary search
-    es = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    ks = es
-    ee, kk = np.meshgrid(es, ks, indexing="ij")
-    rad2 = (ee * ee + kk * kk).ravel()
-    lin = (ee + _FOUR_OVER_PI * kk).ravel()
-    order = np.argsort(rad2, kind="stable")
-    rad2_sorted = rad2[order]
-    lin_sorted = lin[order]
-    best_so_far = np.maximum.accumulate(lin_sorted)
-    # index of the running argmax so the winning (eta, kappa) is recoverable
-    argmax_update = lin_sorted >= best_so_far
-    run_idx = np.where(argmax_update, np.arange(lin_sorted.size), 0)
-    run_idx = np.maximum.accumulate(run_idx)
-
-    zs = np.arange(0.0, 0.5 + grid_step / 2, grid_step)
-    limits = 4 * zs * (1 - 2 * zs)
-    cut = np.searchsorted(rad2_sorted, limits, side="right") - 1
-    valid = cut >= 0
-    obj = np.full(zs.size, -np.inf)
-    obj[valid] = (3.0 - 2.0 * zs[valid] + best_so_far[cut[valid]]) / 4.0
-    zi = int(obj.argmax())
-    flat = order[run_idx[cut[zi]]]
-    z0 = float(zs[zi])
-    e0 = float(ee.ravel()[flat])
-    k0 = float(kk.ravel()[flat])
-
-    # box coordinates: u = (zeta / 0.5, psi / (pi/2), radial fraction)
-    def unpack(u):
-        z = 0.5 * u[0]
-        r = 2.0 * np.sqrt(max(z * (1 - 2 * z), 0.0))
-        psi = (np.pi / 2) * u[1]
-        e = u[2] * r * np.cos(psi)
-        k = u[2] * r * np.sin(psi)
-        return z, e, k
-
-    def objective(u):
-        z, e, k = unpack(u)
-        return (3.0 - 2.0 * z + e + _FOUR_OVER_PI * k) / 4.0
-
-    r0 = 2.0 * np.sqrt(max(z0 * (1 - 2 * z0), 0.0))
-    frac = min(np.hypot(e0, k0) / r0, 1.0) if r0 > 0 else 0.0
-    start = (
-        z0 / 0.5,
-        np.arctan2(k0, e0) / (np.pi / 2) if (e0 or k0) else 0.5,
-        frac,
-    )
-    u, best = _pattern_search(start, objective, max(grid_step, 1e-3),
-                              lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0))
-    z, e, k = unpack(u)
-    # the polar unpacking can overshoot the disk by an ulp; pull the point
-    # back inside so the result passes its own feasibility gate
-    cap = 4.0 * z * (1.0 - 2.0 * z)
-    while e * e + k * k > cap:
-        e = np.nextafter(e, 0.0)
-        k = np.nextafter(k, 0.0)
-    params = BHParams(z, e, k)
+    c = np.sqrt(1.0 + _FOUR_OVER_PI ** 2)
+    zeta = (1.0 - 1.0 / np.sqrt(2.0 * c * c + 1.0)) / 4.0
+    r = 2.0 * np.sqrt(zeta * (1.0 - 2.0 * zeta))
+    params = BHParams(zeta, r / c, r * _FOUR_OVER_PI / c)
     best = average_fidelity(params)
     equal_point = (3.0 - 2.0 * 0.1 + 0.4 + _FOUR_OVER_PI * 0.4) / 4.0
     notes = (
@@ -267,9 +139,3 @@ def scan_feasible_region(grid_steps: int) -> np.ndarray:
     ])
     return out
 
-
-def _checked_step(grid_step: float) -> float:
-    grid_step = float(grid_step)
-    if not 0.0 < grid_step <= 0.25:
-        raise ValueError(f"grid step must lie in (0, 0.25], got {grid_step}")
-    return grid_step

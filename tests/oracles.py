@@ -163,7 +163,18 @@ def eavesdropping_oracle_meridional(vartheta):
     return info, max(d_u, d_v)
 
 
-# --- free optimum of the mean fidelity -------------------------------------
+# --- mean fidelity and its free optimum -----------------------------------
+
+def average_fidelity_quadrature(zeta, eta, kappa, nodes=100_000):
+    """Trapezoid-rule mean of the Eastern-branch fidelity over [0, pi].
+
+    Agrees with the package's closed form to well below 1e-8 at 1e5 nodes.
+    """
+    theta = np.linspace(0.0, np.pi, nodes)
+    st = np.sin(theta)
+    f = (1 - zeta) - 0.5 * (1 - eta - 2 * zeta) * st * st + (kappa / 2) * st
+    return float(np.trapezoid(f, theta) / np.pi)
+
 
 def average_optimum_scalar():
     """Best (zeta, eta, kappa) for the mean main-circle fidelity.

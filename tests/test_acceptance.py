@@ -27,7 +27,6 @@ from qclone.machines import (
 )
 from qclone.optimizer import (
     average_fidelity,
-    average_fidelity_quadrature,
     optimize_equal_fidelity,
 )
 from qclone.qcore import bloch_state, fidelity, main_circle_state, pure_density
@@ -73,7 +72,8 @@ def test_criterion_02_average_fidelity_closed_form():
         if not feasible(p):
             continue
         done += 1
-        if abs(average_fidelity_quadrature(p) - average_fidelity(p)) > 1e-8:
+        if abs(oracles.average_fidelity_quadrature(p.zeta, p.eta, p.kappa)
+               - average_fidelity(p)) > 1e-8:
             ok = False
             break
     _report(2, "mean fidelity closed form equals quadrature on 100 feasible triples", ok)

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ def test_usage_errors_exit_2():
     assert qclone("bogus").returncode == 2
     assert qclone("fidelity").returncode == 2               # missing --machine
     assert qclone("optimize", "--mode", "nope").returncode == 2
+    assert qclone("optimize", "--mode", "average", "--grid-step", "0.4").returncode == 2
     assert qclone("b92").returncode == 2
 
 
@@ -33,7 +35,6 @@ def test_domain_errors_exit_2():
                   "--vartheta", "2.5").returncode == 2
     assert qclone("b92", "curve", "--machines", "meridional", "--overlap-min", "0.9",
                   "--overlap-max", "0.1", "--points", "5").returncode == 2
-    assert qclone("optimize", "--mode", "average", "--grid-step", "0.4").returncode == 2
     assert qclone("scan", "--grid-steps", "1").returncode == 2
 
 
@@ -44,6 +45,27 @@ def test_missing_or_invalid_spec_file_exits_1(tmp_path):
     assert bad.exists()
     assert qclone("validate", "--spec", str(bad)).returncode == 1
     assert qclone("fidelity", "--machine", str(bad)).returncode == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"variant": "channel", "fidelity": "0.9"},
+    {"variant": "channel", "fidelity": True},
+    {"variant": "channel", "fidelity": 0.9, "name": 7},
+    {"variant": "explicit", "apparatus_dim": 2.7},
+    {"variant": "explicit", "apparatus_dim": "2"},
+], ids=["fidelity-string", "fidelity-bool", "name-int", "dim-float", "dim-string"])
+def test_malformed_spec_fields_exit_1(tmp_path, doc):
+    path = tmp_path / "malformed.json"
+    if doc["variant"] == "explicit":
+        save_spec(meridional_spec(), path)
+        doc = {**json.loads(path.read_text()), **doc}
+    path.write_text(json.dumps(doc))
+    for args in (("validate", "--spec", str(path)),
+                 ("b92", "analyze", "--machine", str(path), "--vartheta", "0.5")):
+        res = qclone(*args)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_validate_passing_spec(tmp_path):

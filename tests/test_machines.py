@@ -19,6 +19,7 @@ from qclone.machines import (
     meridional_spec,
     reduced_output_closed_form,
     save_spec,
+    spec_from_dict,
     synthesize,
     validate_unitarity,
     wootters_zurek_spec,
@@ -95,7 +96,6 @@ def test_validation_flags_parallel_y_vectors():
     report = validate_unitarity(bad)
     assert not report.passed
     assert report.residuals["y_orthogonality"] == pytest.approx(0.1, abs=1e-15)
-    assert report.residuals["cross_sum"] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_validate_unitarity_rejects_channel():
@@ -280,3 +280,63 @@ def test_load_spec_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"variant": "explicit", "name": "x"}))
     with pytest.raises((ValueError, KeyError)):
         load_spec(path)
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError):
+        load_spec(path)
+
+
+def _random_json(rng, depth=0):
+    kind = rng.integers(0, 9 if depth < 2 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.integers(0, 2))
+    if kind == 2:
+        return int(rng.choice([0, 1, 2, 3, 4, -1, 10 ** 400]))
+    if kind == 3:
+        return float(rng.choice([0.0, 0.5, 0.9, 2.7, -1.0, 1e308, np.nan, np.inf]))
+    if kind == 4:
+        return str(rng.choice(["", "0.9", "2", "explicit", "channel", "x"]))
+    if kind == 5:
+        return [float(rng.normal()), float(rng.normal())]
+    if kind == 6:
+        return [_random_json(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    if kind == 7:
+        return [[_random_json(rng, depth + 1), _random_json(rng, depth + 1)]
+                for _ in range(rng.integers(0, 5))]
+    return {str(rng.integers(0, 3)): _random_json(rng, depth + 1)}
+
+
+def test_spec_from_dict_fuzz_yields_spec_or_value_error(tmp_path):
+    path = tmp_path / "mer.json"
+    save_spec(meridional_spec(), path)
+    explicit = json.loads(path.read_text())
+    channel = {"name": "chan", "variant": "channel", "fidelity": 0.9}
+    fields = sorted(set(explicit) | set(channel))
+    rng = np.random.default_rng(404)
+    for _ in range(3000):
+        doc = dict(explicit if rng.integers(0, 2) else channel)
+        for key in rng.choice(fields, size=rng.integers(1, 3), replace=False):
+            if rng.integers(0, 6) == 0:
+                doc.pop(key, None)
+            else:
+                doc[key] = _random_json(rng)
+        doc = json.loads(json.dumps(doc))
+        try:
+            spec = spec_from_dict(doc)
+        except ValueError:
+            continue
+        assert spec.variant in ("explicit", "channel")
+        assert isinstance(spec.name, str)
+
+
+def test_spec_from_dict_rejects_mistyped_fields(tmp_path):
+    # the five documents of test_cli.test_malformed_spec_fields_exit_1, plus:
+    path = tmp_path / "mer.json"
+    save_spec(meridional_spec(), path)
+    explicit = json.loads(path.read_text())
+    for doc in ({**explicit, "apparatus_dim": True},
+                {**explicit, "Q0": [[True, 0.0], [0.5, 0.0]]},
+                {**explicit, "Q0": [[10 ** 400, 0.0], [0.5, 0.0]]}):
+        with pytest.raises(ValueError):
+            spec_from_dict(doc)

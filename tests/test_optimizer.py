@@ -4,7 +4,6 @@ import pytest
 from qclone.machines import BHParams, feasible
 from qclone.optimizer import (
     average_fidelity,
-    average_fidelity_quadrature,
     optimize_average,
     optimize_equal_fidelity,
     scan_feasible_region,
@@ -37,14 +36,9 @@ def test_quadrature_matches_closed_form():
         p = BHParams(rng.uniform(0, 0.5), rng.uniform(0, 1), rng.uniform(0, 1))
         if not feasible(p):
             continue
-        assert average_fidelity_quadrature(p) == pytest.approx(
+        assert oracles.average_fidelity_quadrature(p.zeta, p.eta, p.kappa) == pytest.approx(
             average_fidelity(p), abs=1e-8)
         done += 1
-
-
-def test_quadrature_node_floor():
-    with pytest.raises(ValueError):
-        average_fidelity_quadrature(BHParams(0.1, 0.4, 0.4), nodes=8)
 
 
 def test_equal_fidelity_optimum():
@@ -59,6 +53,11 @@ def test_equal_fidelity_optimum():
     assert res.params.kappa == pytest.approx(1 - res.params.eta - 2 * res.params.zeta,
                                              abs=1e-12)
     assert feasible(res.params)
+
+
+def test_equal_fidelity_optimum_is_exact():
+    p = optimize_equal_fidelity().params
+    assert (p.zeta, p.eta, p.kappa) == pytest.approx((0.1, 0.4, 0.4), abs=1e-15)
 
 
 def test_average_optimum_matches_scalar_oracle():
@@ -81,25 +80,8 @@ def test_average_optimum_beats_equal_fidelity_point():
     assert res.objective > average_fidelity(BHParams(0.1, 0.4, 0.4)) + 0.005
 
 
-def test_refinement_never_worse_on_finer_grids():
-    objs = [optimize_average(grid_step=h).objective for h in (0.02, 0.01, 0.005)]
-    for coarse, fine in zip(objs, objs[1:]):
-        assert fine >= coarse - 1e-9
-    for obj in objs:
-        assert obj <= FREE_OPT_MEAN + 1e-9
-
-
-def test_grid_step_domain():
-    with pytest.raises(ValueError):
-        optimize_equal_fidelity(grid_step=0.0)
-    with pytest.raises(ValueError):
-        optimize_average(grid_step=0.3)
-    with pytest.raises(ValueError):
-        optimize_average(grid_step=-1e-3)
-
-
 def test_objective_range_invariant():
-    for res in (optimize_equal_fidelity(grid_step=0.005), optimize_average(grid_step=0.005)):
+    for res in (optimize_equal_fidelity(), optimize_average()):
         assert 0.5 <= res.objective <= 1.0
 
 
