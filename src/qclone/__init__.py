@@ -12,7 +12,9 @@ from .qcore import (
     DensityMatrix,
     PureQubit,
     StateVector,
+    bloch_amplitudes,
     bloch_state,
+    fidelities,
     fidelity,
     ket,
     main_circle_state,
@@ -34,6 +36,7 @@ from .machines import (
     fidelity_closed_form,
     gram_matrix,
     load_spec,
+    marginals,
     meridional_fidelity_general,
     meridional_spec,
     reduced_output_closed_form,
@@ -81,11 +84,13 @@ __all__ = [
     "attack_analysis",
     "average_fidelity",
     "b92_pair",
+    "bloch_amplitudes",
     "bloch_state",
     "builtin_spec",
     "channel_spec",
     "clone",
     "feasible",
+    "fidelities",
     "fidelity",
     "fidelity_closed_form",
     "gram_matrix",
@@ -93,6 +98,7 @@ __all__ = [
     "ket",
     "load_spec",
     "main_circle_state",
+    "marginals",
     "meridional_fidelity_general",
     "meridional_spec",
     "optimize_average",

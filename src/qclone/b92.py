@@ -37,8 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import DensityMatrix, PureQubit, fidelity, pure_density
-from .machines import CloningSpec, clone
+from .qcore import DensityMatrix, PureQubit, bloch_amplitudes, fidelities
+from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
+from .machines import CloningSpec, marginals
+from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
 from .textio import format_float
 
 _POVM_PSD_TOL = -1e-12
@@ -108,12 +110,24 @@ class POVMTriple:
         return (self.g1, self.g2, self.g3)
 
 
-def _povm_arrays(u_amps: np.ndarray, v_amps: np.ndarray):
-    s = np.vdot(u_amps, v_amps).real
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """|s><s| (..., 2, 2) for amplitude stacks (..., 2)."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
+
+
+def _signals(varthetas) -> np.ndarray:
+    """Amplitudes (..., 2, 2) of the signal pair at each vartheta: u, then v."""
+    return np.stack([bloch_amplitudes(varthetas, 0.0),
+                     bloch_amplitudes(np.pi - np.asarray(varthetas), 0.0)], axis=-2)
+
+
+def _povm_arrays(u_amps: np.ndarray, v_amps: np.ndarray) -> np.ndarray:
+    """Elements (..., 3, 2, 2) of Bob's POVM for signal amplitudes (..., 2)."""
+    s = np.einsum("...i,...i->...", u_amps.conj(), v_amps).real[..., None, None]
     eye = np.eye(2, dtype=np.complex128)
-    g1 = (eye - np.outer(u_amps, u_amps.conj())) / (1.0 + s)
-    g2 = (eye - np.outer(v_amps, v_amps.conj())) / (1.0 + s)
-    return g1, g2, eye - g1 - g2
+    g1 = (eye - _projectors(u_amps)) / (1.0 + s)
+    g2 = (eye - _projectors(v_amps)) / (1.0 + s)
+    return np.stack([g1, g2, eye - g1 - g2], axis=-3)
 
 
 def povm(pair: B92Pair) -> POVMTriple:
@@ -125,20 +139,27 @@ def povm(pair: B92Pair) -> POVMTriple:
     return POVMTriple(*_povm_arrays(u_amps, v_amps))
 
 
+def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Tr(G_mu rho) (..., 3) for POVM elements (..., 3, 2, 2) and qubit states
+    (..., 2, 2), broadcast over the leading axes. Raises ValueError if an
+    imaginary part or the distance of a row sum from 1 exceeds 1e-12."""
+    vals = np.einsum("...mij,...ji->...m", g_ops, mats)
+    worst = np.max(np.abs(vals.imag), initial=0.0)
+    if worst > 1e-12:
+        raise ValueError(f"outcome probability has imaginary part {worst:.3e}")
+    probs = vals.real
+    total = probs.sum(axis=-1)
+    off = np.abs(total - 1.0) > _POVM_SUM_TOL
+    if np.any(off):
+        raise ValueError(f"outcome probabilities sum to {total[off].flat[0]}, not 1")
+    return probs
+
+
 def outcome_probs(ops: POVMTriple, rho: DensityMatrix) -> tuple:
     """Probabilities (p1, p2, p3) of the three outcomes on a qubit state."""
     if rho.dims != (2,):
         raise ValueError(f"outcome_probs needs a single-qubit state, dims {rho.dims}")
-    probs = []
-    for op in ops.elements:
-        val = np.trace(op @ rho.matrix)
-        if abs(val.imag) > 1e-12:
-            raise ValueError(f"outcome probability has imaginary part {val.imag:.3e}")
-        probs.append(float(val.real))
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"outcome probabilities sum to {total}, not 1")
-    return tuple(probs)
+    return tuple(float(p) for p in _probabilities(np.stack(ops.elements), rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -152,45 +173,46 @@ class AttackAnalysis:
     outcome_probs: dict
 
 
-def _clone_marginal(spec: CloningSpec, state: PureQubit) -> DensityMatrix:
-    return clone(spec, state).rho_a
+def _clone_marginal(spec: CloningSpec, amps: np.ndarray) -> np.ndarray:
+    """One clone's reduced states (..., 2, 2) for input amplitudes (..., 2)."""
+    return marginals(spec, amps[..., 0], amps[..., 1])
 
 
-def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
-    """Eve's mutual information and Bob's discrepancy for a cloning attack.
+def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
+    """Outcome table P_mu_i (n, 2, 3), information (n,) and discrepancy (n,)
+    of a cloning attack at each of n half-angles in (0, pi/2].
 
     Eve applies the same POVM as Bob to her clone; priors are 1/2 each.
     Outcomes with zero total probability are skipped and 0 log 0 = 0.
     The discrepancy is the larger of the two per-state values (they
     coincide for machines symmetric across the meridian midpoint).
     """
+    signals = _signals(varthetas)
+    mats = _clone_marginal(spec, signals)
+    g_ops = _povm_arrays(signals[:, 0], signals[:, 1])
+    probs = _probabilities(g_ops[:, None], mats)  # (n, signal u|v, outcome)
+    q = 0.5 * (probs[:, 0] + probs[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = 0.5 * probs / q[:, None]
+        terms = np.where(post > 0.0, post * np.log2(post), 0.0)
+    qh = np.where(q > 0.0, -q * terms.sum(axis=1), 0.0)  # q_mu H_mu
+    info = np.clip(1.0 - qh[:, 0] - qh[:, 1] - qh[:, 2], 0.0, 1.0)
+    disc = np.max(1.0 - fidelities(signals, mats), axis=1)
+    return probs, info, disc
+
+
+def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
+    """Eve's mutual information and Bob's discrepancy for a cloning attack
+    at one vartheta (see _attack for the conventions)."""
     pair = b92_pair(vartheta)
-    rho_u = _clone_marginal(spec, pair.u)
-    rho_v = _clone_marginal(spec, pair.v)
-    g_ops = _povm_arrays(pair.u.amplitudes, pair.v.amplitudes)
-    table = {}
-    info = 1.0
-    for mu, op in enumerate(g_ops):
-        p_u = float(np.trace(op @ rho_u.matrix).real)
-        p_v = float(np.trace(op @ rho_v.matrix).real)
-        table[f"G{mu + 1}"] = (p_u, p_v)
-        q_mu = 0.5 * (p_u + p_v)
-        if q_mu <= 0.0:
-            continue
-        h_mu = 0.0
-        for p_i in (p_u, p_v):
-            post = 0.5 * p_i / q_mu
-            if post > 0.0:
-                h_mu -= post * np.log2(post)
-        info -= q_mu * h_mu
-    info = float(min(max(info, 0.0), 1.0))
-    disc = max(1.0 - fidelity(pair.u, rho_u), 1.0 - fidelity(pair.v, rho_v))
+    probs, info, disc = _attack(spec, np.array([pair.vartheta]))
     return AttackAnalysis(
         machine_name=spec.name or spec.variant,
         overlap=pair.overlap,
-        mutual_information=info,
-        discrepancy=disc,
-        outcome_probs=table,
+        mutual_information=float(info[0]),
+        discrepancy=float(disc[0]),
+        outcome_probs={f"G{mu + 1}": (float(probs[0, 0, mu]), float(probs[0, 1, mu]))
+                       for mu in range(3)},
     )
 
 
@@ -199,13 +221,10 @@ def info_curve(spec: CloningSpec, overlaps) -> np.ndarray:
     overlaps = np.atleast_1d(np.asarray(overlaps, dtype=float))
     if overlaps.ndim != 1 or overlaps.size == 0:
         raise ValueError("need a non-empty 1-d list of overlaps")
-    if np.any((overlaps <= 0.0) | (overlaps >= 1.0)):
+    if not np.all((overlaps > 0.0) & (overlaps < 1.0)):
         raise ValueError("every overlap must lie strictly between 0 and 1")
-    rows = np.empty((overlaps.size, 3))
-    for i, o in enumerate(overlaps):
-        res = attack_analysis(spec, float(np.arcsin(np.sqrt(o))))
-        rows[i] = (o, res.mutual_information, res.discrepancy)
-    return rows
+    _, info, disc = _attack(spec, np.arcsin(np.sqrt(overlaps)))
+    return np.column_stack([overlaps, info, disc])
 
 
 @dataclass(frozen=True)
@@ -253,18 +272,9 @@ def simulate_protocol(spec: CloningSpec | None, vartheta: float, n: int,
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     seed = int(seed)
-    pair = b92_pair(vartheta)
-    if spec is None:
-        received_u = pure_density(pair.u)
-        received_v = pure_density(pair.v)
-    else:
-        received_u = _clone_marginal(spec, pair.u)
-        received_v = _clone_marginal(spec, pair.v)
-    g_ops = _povm_arrays(pair.u.amplitudes, pair.v.amplitudes)
-    prob_rows = np.empty((2, 3))
-    for bit, rho in enumerate((received_u, received_v)):
-        for mu, op in enumerate(g_ops):
-            prob_rows[bit, mu] = np.trace(op @ rho.matrix).real
+    signals = _signals(b92_pair(vartheta).vartheta)
+    received = _projectors(signals) if spec is None else _clone_marginal(spec, signals)
+    prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]), received)
     cums = np.cumsum(np.clip(prob_rows, 0.0, None), axis=1)
 
     bits = (rng.trial_uniforms(seed, n, draw=0) >= 0.5).astype(np.int64)

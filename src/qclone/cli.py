@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import b92, machines, optimizer
-from .qcore import bloch_state, fidelity, main_circle_state
+from .qcore import bloch_amplitudes, fidelities
+from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps cli.fidelity)
 from .textio import render_records_csv, render_records_text, render_table
 
 _TABLE_COMMANDS = {"fidelity", "scan", "curve"}
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True, metavar="NAME|FILE")
     p.add_argument("--points", type=int, default=181, metavar="N")
     p.add_argument("--phi", type=float, default=None, metavar="ANGLE",
-                   help="fixed azimuth; emits a single curve instead of both branches")
+                   help="fixed azimuth in [0, 2*pi), or [0, 360) with --degrees; "
+                        "emits a single curve instead of both branches")
 
     p = sub.add_parser("optimize", parents=[common],
                        help="optimize machine parameters")
@@ -157,28 +159,20 @@ def _cmd_fidelity(args):
     spec = _resolve_machine(args.machine)
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
-    thetas = np.linspace(0.0, np.pi, args.points)
-    if args.phi is not None:
-        phi = _angle(args.phi, args.degrees)
-        header = ("theta", "F")
-        if spec.variant == "channel":
-            rows = [(t, spec.clone_fidelity) for t in thetas]
-        else:
-            rows = [(t, fidelity(bloch_state(t, phi), machines.clone(spec, bloch_state(t, phi)).rho_a))
-                    for t in thetas]
-        return header, rows
-    header = ("theta", "F_east", "F_west")
-    if spec.variant == "channel":
-        rows = [(t, spec.clone_fidelity, spec.clone_fidelity) for t in thetas]
+    if args.phi is None:
+        header = ("theta", "F_east", "F_west")
+        phis = np.array([[0.0], [np.pi]])  # Eastern and Western branches
     else:
-        rows = []
-        for t in thetas:
-            east = main_circle_state(t, "+")
-            west = main_circle_state(t, "-")
-            rows.append((t,
-                         fidelity(east, machines.clone(spec, east).rho_a),
-                         fidelity(west, machines.clone(spec, west).rho_a)))
-    return header, rows
+        phi = _angle(args.phi, args.degrees)
+        if not 0.0 <= phi < 2 * np.pi:
+            raise ValueError(f"--phi must lie in [0, 2*pi) radians, or [0, 360) with "
+                             f"--degrees, got {args.phi}")
+        header = ("theta", "F")
+        phis = np.array([[phi]])
+    thetas = np.linspace(0.0, np.pi, args.points)
+    states = bloch_amplitudes(thetas, phis)  # (curves, points, 2)
+    curves = fidelities(states, machines.marginals(spec, states[..., 0], states[..., 1]))
+    return header, np.column_stack([thetas, *curves]).tolist()
 
 
 def _cmd_optimize(args):
@@ -220,10 +214,8 @@ def _cmd_b92_curve(args):
         curves.append(b92.info_curve(spec, overlaps))
     header = (["overlap"] + [f"I_{lab}" for lab in labels]
               + [f"D_{lab}" for lab in labels])
-    rows = []
-    for i in range(args.points):
-        rows.append([overlaps[i]] + [c[i, 1] for c in curves] + [c[i, 2] for c in curves])
-    return header, rows
+    columns = [overlaps] + [c[:, 1] for c in curves] + [c[:, 2] for c in curves]
+    return header, np.column_stack(columns).tolist()
 
 
 def _cmd_b92_analyze(args):

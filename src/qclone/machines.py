@@ -34,6 +34,20 @@ each clone's reduced state and fidelity have closed forms:
 
 with '+' on the Eastern branch (phi = 0) and '-' on the Western (phi = pi).
 
+For any input alpha|0> + beta|1> the reduced state of one clone depends
+only on the 4x4 Gram matrix G of (Q0, Q1, Y0, Y1) and on (alpha, beta).
+With C = alpha Y0 + beta Y1,
+
+    rho_00 = |alpha|^2 <Q0|Q0> + <C|C>
+    rho_11 = |beta|^2 <Q1|Q1> + <C|C>
+    rho_01 = <C|alpha Q0> + <beta Q1|C>
+
+each divided by the joint norm^2 = rho_00 + rho_11. marginals() evaluates
+these for a whole batch of inputs at once and is the single-clone kernel
+behind every fidelity curve and every B92 figure; clone() builds the full
+|a b apparatus> state and partial-traces it, and is kept as the reference
+the kernel is tested against.
+
 The meridional machine is the member at (zeta, eta, kappa) =
 (1/10, 2/5, 2/5); it copies every Eastern-meridian state with fidelity
 between 0.90 and 0.95. Universal and equatorial machines are modeled as
@@ -45,6 +59,7 @@ needs; their joint two-clone correlations are out of scope.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +68,7 @@ from .qcore import (
     DensityMatrix,
     PureQubit,
     StateVector,
+    check_qubit_densities,
     partial_trace,
     to_density,
 )
@@ -110,6 +126,17 @@ def gram_matrix(p: BHParams, q_overlap: float) -> np.ndarray:
     ])
 
 
+def _real(value, what: str) -> float:
+    """A real number as a float; bools, strings, complex numbers and ints too
+    large for a float are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None
+
+
 @dataclass(frozen=True, eq=False)
 class CloningSpec:
     """A cloning machine: explicit apparatus vectors or a fidelity channel.
@@ -117,8 +144,10 @@ class CloningSpec:
     variant 'explicit' carries the four d-vectors (d in {2, 3, 4}); variant
     'channel' carries a single clone fidelity in [1/2, 1] and maps each
     clone marginal to F |s><s| + (1-F) |s_perp><s_perp|. Construction
-    validates shapes and ranges only; the unitarity equalities are checked
-    by validate_unitarity so that near-miss specs can be diagnosed.
+    validates types, shapes and ranges (name a string, apparatus_dim an
+    integer, not a bool, fidelity a real number, not a bool) and raises
+    ValueError for anything else; the unitarity equalities are checked by
+    validate_unitarity so that near-miss specs can be diagnosed.
     """
 
     variant: str
@@ -131,17 +160,23 @@ class CloningSpec:
     clone_fidelity: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {type(self.name).__name__}")
         if self.variant == "explicit":
             d = self.apparatus_dim
-            if d is None or int(d) not in (2, 3, 4):
-                raise ValueError(f"apparatus_dim must be 2, 3 or 4, got {d}")
+            if (isinstance(d, bool) or not isinstance(d, numbers.Integral)
+                    or d not in (2, 3, 4)):
+                raise ValueError(f"apparatus_dim must be the integer 2, 3 or 4, got {d!r}")
             d = int(d)
             object.__setattr__(self, "apparatus_dim", d)
             for attr in ("q0", "q1", "y0", "y1"):
                 vec = getattr(self, attr)
                 if vec is None:
                     raise ValueError(f"explicit spec is missing vector {attr}")
-                arr = np.array(vec, dtype=np.complex128, copy=True)
+                try:
+                    arr = np.array(vec, dtype=np.complex128, copy=True)
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"{attr} must be a vector of numbers") from None
                 if arr.shape != (d,):
                     raise ValueError(f"{attr} must have length {d}, got {arr.shape}")
                 if not np.all(np.isfinite(arr.view(np.float64))):
@@ -151,10 +186,10 @@ class CloningSpec:
             if self.clone_fidelity is not None:
                 raise ValueError("explicit spec does not take clone_fidelity")
         elif self.variant == "channel":
-            f = self.clone_fidelity
-            if f is None or not np.isfinite(f) or not 0.5 <= float(f) <= 1.0:
+            f = _real(self.clone_fidelity, "channel fidelity")
+            if not 0.5 <= f <= 1.0:
                 raise ValueError(f"channel fidelity must lie in [1/2, 1], got {f}")
-            object.__setattr__(self, "clone_fidelity", float(f))
+            object.__setattr__(self, "clone_fidelity", f)
             if any(getattr(self, a) is not None for a in ("q0", "q1", "y0", "y1")):
                 raise ValueError("channel spec does not take apparatus vectors")
             if self.apparatus_dim is not None:
@@ -343,11 +378,7 @@ def clone(spec: CloningSpec, state: PureQubit) -> CloneOutput:
         mat = f * np.outer(s, s.conj()) + (1 - f) * np.outer(s_perp, s_perp.conj())
         rho = DensityMatrix((2,), mat)
         return CloneOutput(rho_a=rho, rho_b=rho)
-    report = validate_unitarity(spec)
-    if not report.passed:
-        worst = max(report.residuals, key=lambda k: abs(report.residuals[k]))
-        raise ValueError(
-            f"spec violates unitarity: residual {worst} = {report.residuals[worst]:.3e}")
+    _require_unitary(spec)
     d = spec.apparatus_dim
     joint = np.zeros((2, 2, d), dtype=np.complex128)
     joint[0, 0] = alpha * spec.q0
@@ -367,6 +398,57 @@ def clone(spec: CloningSpec, state: PureQubit) -> CloneOutput:
         joint=vec,
         rho_ab=partial_trace(rho_full, (0, 1)),
     )
+
+
+def _require_unitary(spec: CloningSpec) -> None:
+    report = validate_unitarity(spec)
+    if not report.passed:
+        worst = max(report.residuals, key=lambda k: abs(report.residuals[k]))
+        raise ValueError(
+            f"spec violates unitarity: residual {worst} = {report.residuals[worst]:.3e}")
+
+
+def marginals(spec: CloningSpec, alpha, beta) -> np.ndarray:
+    """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>.
+
+    alpha and beta broadcast against each other. Explicit variant: the Gram
+    formulas of the module docstring, after one unitarity validation of the
+    spec and the same joint-norm check (1e-8) as clone(). Channel variant:
+    F |s><s| + (1-F) |s_perp><s_perp|. Every result passes the DensityMatrix
+    checks (finite, unit trace, eigenvalues in [0, 1]) or a ValueError is
+    raised; entries agree with clone(spec, state).rho_a to rounding.
+    """
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=np.complex128),
+                                      np.asarray(beta, dtype=np.complex128))
+    if spec.variant == "channel":
+        f = spec.clone_fidelity
+        s = np.stack([alpha, beta], axis=-1)
+        s_perp = np.stack([-beta.conj(), alpha.conj()], axis=-1)
+        mats = (f * (s[..., :, None] * s.conj()[..., None, :])
+                + (1 - f) * (s_perp[..., :, None] * s_perp.conj()[..., None, :]))
+    else:
+        _require_unitary(spec)
+        vecs = np.stack([spec.q0, spec.q1, spec.y0, spec.y1])
+        g = vecs.conj() @ vecs.T  # g[i, j] = <v_i|v_j>, order (Q0, Q1, Y0, Y1)
+        a2 = alpha.real ** 2 + alpha.imag ** 2
+        b2 = beta.real ** 2 + beta.imag ** 2
+        cc = a2 * g[2, 2].real + b2 * g[3, 3].real + 2 * (alpha.conj() * beta * g[2, 3]).real
+        r00 = a2 * g[0, 0].real + cc
+        r11 = b2 * g[1, 1].real + cc
+        r01 = (alpha * (alpha.conj() * g[2, 0] + beta.conj() * g[3, 0])
+               + beta.conj() * (alpha * g[1, 2] + beta * g[1, 3]))
+        norm2 = r00 + r11
+        far = ~(np.abs(np.sqrt(norm2) - 1.0) <= 1e-8)  # NaN counts as far
+        if np.any(far):
+            raise ValueError(f"joint output norm {np.sqrt(norm2[far].flat[0])} is far "
+                             "from 1; spec is invalid")
+        mats = np.empty(alpha.shape + (2, 2), dtype=np.complex128)
+        mats[..., 0, 0] = r00 / norm2
+        mats[..., 0, 1] = r01 / norm2
+        mats[..., 1, 0] = r01.conj() / norm2
+        mats[..., 1, 1] = r11 / norm2
+    check_qubit_densities(mats)
+    return mats
 
 
 def _check_main_circle_args(p: BHParams, theta: float, sign: str):
@@ -429,45 +511,31 @@ def spec_to_dict(spec: CloningSpec) -> dict:
     return doc
 
 
-def _real(value, what: str) -> float:
-    """A JSON number as a float; bools, strings and out-of-range ints are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {what} must be a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"field {what} is out of range") from None
-
-
 def spec_from_dict(doc: dict) -> CloningSpec:
     """Build a spec from a parsed machine file, rejecting every malformed field
-    with a ValueError."""
+    with a ValueError. The vector entries are checked here, as [re, im]
+    pairs of real numbers; the other field types are CloningSpec's checks."""
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ValueError("machine file must be a mapping with a 'variant' field")
     variant = doc["variant"]
     name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ValueError(f"field name must be a string, got {type(name).__name__}")
     if variant == "explicit":
         missing = [k for k in ("apparatus_dim", "Q0", "Q1", "Y0", "Y1") if k not in doc]
         if missing:
             raise ValueError(f"explicit machine file is missing fields: {missing}")
-        dim = doc["apparatus_dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError(
-                f"field apparatus_dim must be an integer, got {type(dim).__name__}")
         vecs = {}
         for key in ("Q0", "Q1", "Y0", "Y1"):
             pairs = doc[key]
             if not isinstance(pairs, list) or not all(
                     isinstance(pair, list) and len(pair) == 2 for pair in pairs):
                 raise ValueError(f"field {key} must be a list of [re, im] pairs")
-            vecs[key] = np.array([complex(_real(re, key), _real(im, key))
+            what = f"field {key}"
+            vecs[key] = np.array([complex(_real(re, what), _real(im, what))
                                   for re, im in pairs], dtype=np.complex128)
         return CloningSpec(
             variant="explicit",
             name=name,
-            apparatus_dim=dim,
+            apparatus_dim=doc["apparatus_dim"],
             q0=vecs["Q0"],
             q1=vecs["Q1"],
             y0=vecs["Y0"],
@@ -476,8 +544,7 @@ def spec_from_dict(doc: dict) -> CloningSpec:
     if variant == "channel":
         if "fidelity" not in doc:
             raise ValueError("channel machine file is missing the 'fidelity' field")
-        return CloningSpec(variant="channel", name=name,
-                           clone_fidelity=_real(doc["fidelity"], "fidelity"))
+        return CloningSpec(variant="channel", name=name, clone_fidelity=doc["fidelity"])
     raise ValueError(f"unknown variant {variant!r} in machine file")
 
 

@@ -65,18 +65,35 @@ class PureQubit:
     @property
     def amplitudes(self) -> np.ndarray:
         """Length-2 complex amplitude vector (|0> component first)."""
-        if self.theta == 0.0:
-            amps = np.array([1.0, 0.0], dtype=np.complex128)
-        elif self.theta == np.pi:
-            amps = np.array([0.0, 1.0], dtype=np.complex128)
-        else:
-            amps = np.array(
-                [np.cos(self.theta / 2),
-                 np.exp(1j * self.phi) * np.sin(self.theta / 2)],
-                dtype=np.complex128,
-            )
+        amps = bloch_amplitudes(self.theta, self.phi)
         amps.setflags(write=False)
         return amps
+
+
+def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
+    """Amplitudes (..., 2) of the pure qubits at Bloch angles (theta, phi).
+
+    The batched form of PureQubit: theta and phi broadcast against each
+    other, every angle must be finite with theta in [0, pi] and phi in
+    [0, 2*pi), and the poles give exactly [1, 0] (theta = 0) and [0, 1]
+    (theta = pi) whatever phi is.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+        raise ValueError("angles must be finite")
+    bad = (theta < 0.0) | (theta > np.pi)
+    if np.any(bad):
+        raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad].flat[0])}")
+    bad = (phi < 0.0) | (phi >= 2 * np.pi)
+    if np.any(bad):
+        raise ValueError(f"phi must lie in [0, 2*pi), got {float(phi[bad].flat[0])}")
+    amps = np.empty(theta.shape + (2,), dtype=np.complex128)
+    amps[..., 0] = np.cos(theta / 2)
+    amps[..., 1] = np.exp(1j * phi) * np.sin(theta / 2)
+    amps[theta == 0.0] = (1.0, 0.0)
+    amps[theta == np.pi] = (0.0, 1.0)
+    return amps
 
 
 def bloch_state(theta: float, phi: float = 0.0) -> PureQubit:
@@ -207,8 +224,32 @@ def fidelity(state: PureQubit, rho: DensityMatrix) -> float:
     """Overlap <s|rho|s> between a pure qubit and a single-qubit mixed state."""
     if rho.dims != (2,):
         raise ValueError(f"fidelity needs a single-qubit density matrix, dims {rho.dims}")
-    a = state.amplitudes
-    val = np.vdot(a, rho.matrix @ a)
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:.3e}")
-    return float(min(max(val.real, 0.0), 1.0))
+    return float(fidelities(state.amplitudes, rho.matrix))
+
+
+def fidelities(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Overlaps <s|rho|s>, clipped to [0, 1], for stacks of qubit amplitudes
+    (..., 2) and single-qubit density matrices (..., 2, 2)."""
+    vals = np.einsum("...i,...i->...", amps.conj(), np.einsum("...ij,...j->...i", mats, amps))
+    worst = np.max(np.abs(vals.imag), initial=0.0)
+    if worst > 1e-12:
+        raise ValueError(f"fidelity has non-negligible imaginary part {worst:.3e}")
+    return np.clip(vals.real, 0.0, 1.0)
+
+
+def check_qubit_densities(mats: np.ndarray) -> None:
+    """The DensityMatrix checks for a stack (..., 2, 2) of Hermitian qubit
+    matrices: finite entries, unit trace, and both eigenvalues (in closed
+    form) inside [0, 1], each at the DensityMatrix tolerances."""
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must be finite")
+    r00, r11 = mats[..., 0, 0].real, mats[..., 1, 1].real
+    tr = r00 + r11
+    worst = np.max(np.abs(tr - 1.0), initial=0.0)
+    if worst > TRACE_TOL:
+        raise ValueError(f"trace is off 1 by {worst:.3e}, beyond {TRACE_TOL}")
+    radius = np.hypot((r00 - r11) / 2, np.abs(mats[..., 0, 1]))
+    lo = np.min(tr / 2 - radius, initial=np.inf)
+    hi = np.max(tr / 2 + radius, initial=-np.inf)
+    if lo < PSD_TOL or hi > 1.0 - PSD_TOL:
+        raise ValueError(f"eigenvalues [{lo:.3e}, {hi:.6f}] outside [0, 1] tolerance")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qclone import b92
 from qclone.b92 import (
     attack_analysis,
     b92_pair,
@@ -9,8 +10,8 @@ from qclone.b92 import (
     povm,
     simulate_protocol,
 )
-from qclone.machines import builtin_spec, meridional_spec
-from qclone.qcore import pure_density
+from qclone.machines import BHParams, builtin_spec, clone, meridional_spec, synthesize
+from qclone.qcore import fidelity, pure_density
 
 import oracles
 
@@ -180,3 +181,83 @@ def test_simulation_domain():
         simulate_protocol(None, 0.5, 0, 1)
     with pytest.raises(ValueError):
         simulate_protocol(None, 2.0, 100, 1)
+
+
+# --- the batched chain against per-state references ---------------------------
+
+ATTACK_SPECS = [meridional_spec(), builtin_spec("wootters-zurek"), builtin_spec("universal"),
+                builtin_spec("equatorial"), builtin_spec("ideal"),
+                synthesize(BHParams(0.12, 0.3, 0.25)), synthesize(BHParams(0.3, 0.2, 0.5))]
+
+
+def _reference_attack(spec, vt):
+    """The per-state chain: clone() marginals, outcome_probs, scalar entropy sums."""
+    pair = b92_pair(vt)
+    g = povm(pair)
+    rho_u, rho_v = clone(spec, pair.u).rho_a, clone(spec, pair.v).rho_a
+    p_u, p_v = outcome_probs(g, rho_u), outcome_probs(g, rho_v)
+    info = 1.0
+    for a, b in zip(p_u, p_v):
+        q = 0.5 * (a + b)
+        if q > 0.0:
+            info += sum(0.5 * x / q * np.log2(0.5 * x / q) for x in (a, b) if x > 0.0) * q
+    disc = max(1.0 - fidelity(pair.u, rho_u), 1.0 - fidelity(pair.v, rho_v))
+    return p_u, p_v, min(max(info, 0.0), 1.0), disc
+
+
+def test_attack_analysis_matches_per_state_reference():
+    for spec in ATTACK_SPECS:
+        for vt in (0.05, 0.4, 0.9, 1.5):
+            res = attack_analysis(spec, vt)
+            p_u, p_v, info, disc = _reference_attack(spec, vt)
+            for mu in range(3):
+                got = res.outcome_probs[f"G{mu + 1}"]
+                assert got == pytest.approx((p_u[mu], p_v[mu]), abs=1e-12)
+            assert res.mutual_information == pytest.approx(info, abs=1e-12)
+            assert res.discrepancy == pytest.approx(disc, abs=1e-12)
+
+
+def test_batched_outcome_probabilities_sum_to_one_and_match_outcome_probs():
+    rng = np.random.default_rng(92)
+    for vt in rng.uniform(0.01, np.pi / 2 - 0.01, 25):
+        pair = b92_pair(vt)
+        g = povm(pair)
+        states = [pure_density(pair.u), pure_density(pair.v)]
+        states += [clone(spec, pair.u).rho_a for spec in ATTACK_SPECS]
+        mats = np.stack([rho.matrix for rho in states])
+        probs = b92._probabilities(np.stack(g.elements), mats)
+        assert probs.shape == (len(states), 3)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+        for rho, row in zip(states, probs):
+            assert outcome_probs(g, rho) == pytest.approx(tuple(row), abs=1e-15)
+
+
+def test_info_curve_equals_per_vartheta_attack_analysis():
+    overlaps = np.concatenate([np.linspace(0.001, 0.999, 37), [0.5]])
+    for spec in ATTACK_SPECS:
+        rows = info_curve(spec, overlaps)
+        for o, info, disc in rows:
+            res = attack_analysis(spec, float(np.arcsin(np.sqrt(o))))
+            assert info == pytest.approx(res.mutual_information, abs=1e-12)
+            assert disc == pytest.approx(res.discrepancy, abs=1e-12)
+
+
+def test_info_curve_rejects_nan_overlap():
+    with pytest.raises(ValueError):
+        info_curve(meridional_spec(), [0.5, float("nan")])
+
+
+# Tallies recorded before the simulation moved onto the batched kernel.
+@pytest.mark.parametrize("machine, vartheta, seed, text", [
+    ("meridional", 0.35, 2024,
+     "seed=2024\nn_trials=100000\nconclusive=60809\ninconclusive=39191\nerrors=4001\n"
+     "conclusive_rate=0.60809\nerror_rate=0.0657961814863\n"),
+    ("equatorial", 1.1, 7,
+     "seed=7\nn_trials=100000\nconclusive=23163\ninconclusive=76837\nerrors=7798\n"
+     "conclusive_rate=0.23163\nerror_rate=0.336657600484\n"),
+    ("wootters-zurek", 0.9, 31337,
+     "seed=31337\nn_trials=100000\nconclusive=55952\ninconclusive=44048\nerrors=17174\n"
+     "conclusive_rate=0.55952\nerror_rate=0.306941664284\n"),
+])
+def test_simulation_tallies_pinned(machine, vartheta, seed, text):
+    assert simulate_protocol(builtin_spec(machine), vartheta, 100_000, seed).to_text() == text

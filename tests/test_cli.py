@@ -116,6 +116,20 @@ def test_fidelity_phi_flag_and_degrees():
     assert rad.stdout == deg.stdout
 
 
+@pytest.mark.parametrize("machine", ["meridional", "universal"])
+def test_fidelity_phi_domain_is_the_same_for_every_machine(machine):
+    for flags in (["--phi", "99"], ["--phi", "-0.1"], ["--phi", "nan"],
+                  ["--phi", "360", "--degrees"]):
+        res = qclone("fidelity", "--machine", machine, "--points", "5", *flags)
+        assert res.returncode == 2, flags
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    res = qclone("fidelity", "--machine", machine, "--points", "5",
+                 "--phi", "359.9", "--degrees")
+    assert res.returncode == 0
+    assert res.stdout.split("\n")[0] == "theta,F"
+
+
 def test_out_flag_writes_identical_bytes(tmp_path):
     target = tmp_path / "curve.csv"
     res = qclone("fidelity", "--machine", "meridional", "--points", "19",

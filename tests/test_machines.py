@@ -8,6 +8,7 @@ from qclone.machines import (
     BUILTIN_MACHINES,
     EQUATORIAL_FIDELITY,
     UNIVERSAL_FIDELITY,
+    CloningSpec,
     builtin_spec,
     channel_spec,
     clone,
@@ -15,6 +16,7 @@ from qclone.machines import (
     fidelity_closed_form,
     gram_matrix,
     load_spec,
+    marginals,
     meridional_fidelity_general,
     meridional_spec,
     reduced_output_closed_form,
@@ -24,7 +26,7 @@ from qclone.machines import (
     validate_unitarity,
     wootters_zurek_spec,
 )
-from qclone.qcore import bloch_state, fidelity, main_circle_state, pure_density
+from qclone.qcore import bloch_amplitudes, bloch_state, fidelity, main_circle_state, pure_density
 
 
 def _random_feasible(rng, count):
@@ -204,6 +206,89 @@ def test_channel_fidelity_domain():
         channel_spec(1.1)
 
 
+@pytest.mark.parametrize("fid", ["0.9", True, np.bool_(True), 0.9 + 0j, None,
+                                 10 ** 400, float("nan"), [0.9]])
+def test_channel_spec_rejects_mistyped_fidelity(fid):
+    with pytest.raises(ValueError):
+        channel_spec(fid)
+
+
+@pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None, np.float64(3.0)])
+def test_explicit_spec_rejects_non_integer_dim(dim):
+    base = meridional_spec()
+    with pytest.raises(ValueError):
+        CloningSpec(variant="explicit", apparatus_dim=dim,
+                    q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y1)
+
+
+def test_spec_constructor_accepts_numpy_scalars():
+    base = meridional_spec()
+    spec = CloningSpec(variant="explicit", apparatus_dim=np.int64(2),
+                       q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y1)
+    assert spec.apparatus_dim == 2 and type(spec.apparatus_dim) is int
+    assert channel_spec(np.float32(0.75)).clone_fidelity == 0.75
+    assert channel_spec(1).clone_fidelity == 1.0
+    with pytest.raises(ValueError):
+        channel_spec(0.9, name=7)
+
+
+# --- batched single-clone kernel ---------------------------------------------
+
+def test_marginals_match_clone_reference():
+    rng = np.random.default_rng(7)
+    specs = [synthesize(p) for p in _random_feasible(rng, 200)]
+    specs += [meridional_spec(), wootters_zurek_spec(), channel_spec(0.77)]
+    specs += [builtin_spec(name) for name in ("universal", "equatorial", "ideal")]
+    for spec in specs:
+        # random (theta, phi) plus both poles, the poles with a phase to drop
+        theta = np.concatenate([rng.uniform(0.0, np.pi, 4), [0.0, np.pi]])
+        phi = np.concatenate([rng.uniform(0.0, 2 * np.pi, 4), [1.0, 4.0]])
+        amps = bloch_amplitudes(theta, phi)
+        got = marginals(spec, amps[:, 0], amps[:, 1])
+        assert got.shape == (theta.size, 2, 2)
+        for t, p, mat in zip(theta, phi, got):
+            want = clone(spec, bloch_state(t, p)).rho_a.matrix
+            assert np.max(np.abs(mat - want)) <= 1e-12
+
+
+def test_marginals_broadcast_shapes():
+    amps = bloch_amplitudes(np.linspace(0.0, np.pi, 5), np.array([[0.0], [np.pi]]))
+    mats = marginals(meridional_spec(), amps[..., 0], amps[..., 1])
+    assert mats.shape == (2, 5, 2, 2)
+    np.testing.assert_allclose(mats[:, 0], [[[0.9, 0.2], [0.2, 0.1]]] * 2, atol=1e-15)
+
+
+def test_marginals_reject_a_corrupted_spec_in_a_batch():
+    base = meridional_spec()
+    amps = bloch_amplitudes(np.linspace(0.0, np.pi, 7), 0.3)
+    parallel_y = CloningSpec(variant="explicit", name="broken", apparatus_dim=2,
+                             q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y0)
+    # corruption after construction, past the constructor's checks
+    nan_vector = meridional_spec()
+    object.__setattr__(nan_vector, "q0", np.array([np.nan, 0.5]))
+    wide_channel = channel_spec(0.9)
+    object.__setattr__(wide_channel, "clone_fidelity", 1.5)
+    batch = [meridional_spec(), parallel_y, nan_vector, wide_channel, channel_spec(0.8)]
+    outcomes = []
+    for spec in batch:
+        try:
+            marginals(spec, amps[:, 0], amps[:, 1])
+            outcomes.append("ok")
+        except ValueError:
+            outcomes.append("rejected")
+    assert outcomes == ["ok", "rejected", "rejected", "rejected", "ok"]
+
+
+def test_marginals_reject_one_bad_input_in_a_batch():
+    amps = bloch_amplitudes(np.linspace(0.0, np.pi, 7), 0.3)
+    for bad in (1.5, np.nan):
+        alpha = amps[:, 0].copy()
+        alpha[3] *= bad
+        for spec in (meridional_spec(), channel_spec(0.9)):
+            with pytest.raises(ValueError):
+                marginals(spec, alpha, amps[:, 1])
+
+
 # --- closed forms -----------------------------------------------------------
 
 def test_fidelity_closed_form_meridional_values():
@@ -313,6 +398,11 @@ def test_spec_from_dict_fuzz_yields_spec_or_value_error(tmp_path):
     explicit = json.loads(path.read_text())
     channel = {"name": "chan", "variant": "channel", "fidelity": 0.9}
     fields = sorted(set(explicit) | set(channel))
+    base = meridional_spec()
+    explicit_kwargs = {"variant": "explicit", "name": "m", "apparatus_dim": 2,
+                       "q0": base.q0, "q1": base.q1, "y0": base.y0, "y1": base.y1}
+    channel_kwargs = {"variant": "channel", "name": "c", "clone_fidelity": 0.9}
+    kwarg_names = sorted(set(explicit_kwargs) | set(channel_kwargs))
     rng = np.random.default_rng(404)
     for _ in range(3000):
         doc = dict(explicit if rng.integers(0, 2) else channel)
@@ -322,12 +412,22 @@ def test_spec_from_dict_fuzz_yields_spec_or_value_error(tmp_path):
             else:
                 doc[key] = _random_json(rng)
         doc = json.loads(json.dumps(doc))
-        try:
-            spec = spec_from_dict(doc)
-        except ValueError:
-            continue
-        assert spec.variant in ("explicit", "channel")
-        assert isinstance(spec.name, str)
+        # the same values straight into the constructor, past the file gate
+        kwargs = dict(explicit_kwargs if rng.integers(0, 2) else channel_kwargs)
+        for key in rng.choice(kwarg_names, size=rng.integers(1, 3), replace=False):
+            kwargs[key] = _random_json(rng)
+        for build in (lambda: spec_from_dict(doc), lambda: CloningSpec(**kwargs)):
+            try:
+                spec = build()
+            except ValueError:
+                continue
+            assert spec.variant in ("explicit", "channel")
+            assert isinstance(spec.name, str)
+            if spec.variant == "explicit":
+                assert type(spec.apparatus_dim) is int and spec.apparatus_dim in (2, 3, 4)
+            else:
+                assert type(spec.clone_fidelity) is float
+                assert 0.5 <= spec.clone_fidelity <= 1.0
 
 
 def test_spec_from_dict_rejects_mistyped_fields(tmp_path):

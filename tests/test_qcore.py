@@ -5,7 +5,10 @@ from qclone.qcore import (
     DensityMatrix,
     PureQubit,
     StateVector,
+    bloch_amplitudes,
     bloch_state,
+    check_qubit_densities,
+    fidelities,
     fidelity,
     ket,
     main_circle_state,
@@ -43,6 +46,51 @@ def test_bloch_state_general_point():
     assert a == pytest.approx(np.cos(0.6))
     assert b == pytest.approx(np.exp(0.7j) * np.sin(0.6))
     assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_bloch_amplitudes_batch_formula_poles_and_domain():
+    theta = np.array([0.0, 0.4, 1.2, 2.9, np.pi])
+    phi = np.array([5.0, 0.0, 0.7, 6.2, 3.0])
+    amps = bloch_amplitudes(theta, phi)
+    assert amps.shape == (5, 2)
+    assert tuple(amps[0]) == (1.0, 0.0) and tuple(amps[-1]) == (0.0, 1.0)
+    np.testing.assert_allclose(amps[1:4, 0], np.cos(theta[1:4] / 2), atol=1e-15)
+    np.testing.assert_allclose(amps[1:4, 1], np.exp(1j * phi[1:4]) * np.sin(theta[1:4] / 2),
+                               atol=1e-15)
+    for t, p, row in zip(theta, phi, amps):
+        assert tuple(PureQubit(t, p).amplitudes) == tuple(row)
+    assert bloch_amplitudes(theta, np.array([[0.0], [np.pi]])).shape == (2, 5, 2)
+    for bad_theta, bad_phi in ((np.array([0.1, -0.1]), 0.0), (np.pi + 1e-9, 0.0),
+                               (1.0, np.array([0.0, 2 * np.pi])), (1.0, -1e-300),
+                               (np.nan, 0.0), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            bloch_amplitudes(bad_theta, bad_phi)
+
+
+def test_fidelities_match_vdot_and_clip():
+    rng = np.random.default_rng(5)
+    amps = bloch_amplitudes(rng.uniform(0, np.pi, 50), rng.uniform(0, 2 * np.pi, 50))
+    weights = rng.uniform(0, 1, 50)[:, None, None]
+    mats = weights * amps[:, :, None] * amps.conj()[:, None, :] + (1 - weights) * np.eye(2) / 2
+    want = [np.vdot(a, m @ a).real for a, m in zip(amps, mats)]
+    np.testing.assert_allclose(fidelities(amps, mats), want, atol=1e-15)
+    assert fidelities(amps[0], 1.5 * np.eye(2)) == 1.0
+    with pytest.raises(ValueError):
+        fidelities(amps[:2], np.array([[[1, 0], [0, 0]], [[0.5, 1j], [0, 0.5]]]))
+
+
+def test_check_qubit_densities_matches_density_matrix_rules():
+    good = np.array([[[0.9, 0.2], [0.2, 0.1]], [[0.5, 0.5j], [-0.5j, 0.5]]])
+    check_qubit_densities(good)
+    for bad in ([[0.9, 0.2], [0.2, 0.2]],        # trace 1.1
+                [[1.2, 0.0], [0.0, -0.2]],       # eigenvalue below 0
+                [[0.5, 0.6], [0.6, 0.5]],        # eigenvalues -0.1 and 1.1
+                [[np.nan, 0.0], [0.0, 0.5]]):
+        bad = np.array(bad, dtype=complex)
+        with pytest.raises(ValueError):
+            check_qubit_densities(np.stack([good[0], bad]))
+        with pytest.raises(ValueError):
+            DensityMatrix((2,), bad)
 
 
 def test_main_circle_branches():
