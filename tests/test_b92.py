@@ -111,6 +111,14 @@ def test_ideal_machine_gives_full_information_no_disturbance():
     assert res.mutual_information == pytest.approx(1 - np.sin(0.5), abs=1e-12)
 
 
+def test_ideal_outcome_probabilities_are_never_negative():
+    # G1 annihilates u and G2 annihilates v, so two entries are 0 in theory
+    spec = builtin_spec("ideal")
+    for vt in np.concatenate([np.linspace(0.05, np.pi / 2, 40), [1.2]]):
+        probs = attack_analysis(spec, vt).outcome_probs
+        assert min(min(pair) for pair in probs.values()) >= 0.0, vt
+
+
 def test_info_curve_shape_and_domain():
     rows = info_curve(meridional_spec(), [0.1, 0.5, 0.9])
     assert rows.shape == (3, 3)

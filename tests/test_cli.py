@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,45 @@ import pytest
 from qclone.machines import meridional_spec, save_spec
 from qclone.textio import format_float
 
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
 
 def qclone(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "qclone", *args],
                           capture_output=True, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["b92", "analyze", "--machine", "meridional", "--vartheta", "0.7"],
+     "b92_analyze_meridional.txt"),
+    (["b92", "simulate", "--machine", "meridional", "--vartheta", "0.7",
+      "--n", "1000", "--seed", "5"], "b92_simulate_meridional.txt"),
+    (["scan", "--grid-steps", "4"], "scan_4.csv"),
+    (["scan", "--grid-steps", "4", "--format", "text"], "scan_4.txt"),
+    (["optimize", "--mode", "average", "--format", "csv"], "optimize_average.csv"),
+], ids=["analyze", "simulate", "scan-csv", "scan-text", "optimize-average-csv"])
+def test_pinned_outputs(argv, golden):
+    res = subprocess.run([sys.executable, "-m", "qclone", *argv], capture_output=True)
+    assert res.returncode == 0 and res.stderr == b""
+    assert res.stdout == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("corrupt, status, golden", [
+    (False, 0, "validate_passing.txt"),
+    (True, 1, "validate_failing.txt"),
+], ids=["passing", "failing"])
+def test_pinned_validate_outputs(tmp_path, corrupt, status, golden):
+    path = tmp_path / "mer.json"
+    save_spec(meridional_spec(), path)
+    if corrupt:
+        doc = json.loads(path.read_text())
+        doc["Y1"] = doc["Y0"]
+        path.write_text(json.dumps(doc))
+    res = subprocess.run([sys.executable, "-m", "qclone", "validate", "--spec", str(path)],
+                         capture_output=True)
+    assert res.returncode == status and res.stderr == b""
+    assert res.stdout.replace(str(path).encode(), b"<spec>") == (
+        GOLDEN_DIR / golden).read_bytes()
 
 
 def test_usage_errors_exit_2():

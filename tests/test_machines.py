@@ -325,6 +325,23 @@ def test_closed_form_domain_checks():
         reduced_output_closed_form(p, 1.0, "east")
 
 
+def test_closed_forms_match_kernel_and_clone_over_the_sphere():
+    rng = np.random.default_rng(2024)
+    for p in _random_feasible(rng, 200):
+        spec = synthesize(p)
+        theta = np.concatenate([rng.uniform(0.0, np.pi, 4), [0.0, np.pi]])
+        phi = rng.uniform(0.0, 2 * np.pi, theta.size)
+        rho = reduced_output_closed_form(p, theta, phi)
+        f = fidelity_closed_form(p, theta, phi)
+        assert rho.shape == (theta.size, 2, 2) and f.shape == theta.shape
+        assert np.max(np.abs(marginals(spec, bloch_amplitudes(theta, phi)) - rho)) <= 1e-12
+        for t, ph, rho_i, f_i in zip(theta, phi, rho, f):
+            s = bloch_state(t, ph)
+            ref = clone(spec, s).rho_a
+            assert np.max(np.abs(ref.matrix - rho_i)) <= 1e-12
+            assert abs(fidelity(s, ref) - f_i) <= 1e-12
+
+
 # --- builtins and spec files -------------------------------------------------
 
 def test_builtin_names_resolve():
