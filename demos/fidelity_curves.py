@@ -11,8 +11,6 @@ from qclone import (
     clone,
     fidelity,
     fidelity_closed_form,
-    main_circle_state,
-    meridional_fidelity_general,
     meridional_spec,
     wootters_zurek_spec,
 )
@@ -35,23 +33,21 @@ print("Fidelity along the Eastern meridian (phi = 0) stays inside [0.90, 0.95]:"
 print(f"{'theta':>8} {'F_east':>10} {'F_west':>10}")
 for deg in range(0, 181, 15):
     theta = np.radians(deg)
-    fe = fidelity_closed_form(p, theta, "+")
-    fw = fidelity_closed_form(p, theta, "-")
+    fe, fw = fidelity_closed_form(p, theta, [0.0, np.pi])
     print(f"{deg:>7}d {fe:>10.6f} {fw:>10.6f}")
 print()
 print("The Western branch pays for the Eastern optimum: it dips to 0.5 at the")
 print("equator, which is what a random guess would score.\n")
 
-print("Off the main circle the fidelity follows")
-print("F(theta, phi) = 9/10 - (1/5) sin(theta) (sin(theta) - cos(phi)),")
-print("and the full simulation reproduces it to machine precision:")
-worst = 0.0
+print("Both branches are slices of one formula for any Bloch input:")
+print("F(theta, phi) = 1 - zeta - (1 - 2 zeta - eta) sin^2(theta)/2")
+print("                + (kappa/2) sin(theta) cos(phi),")
+print("which for this machine is 9/10 - (1/5) sin(theta) (sin(theta) - cos(phi)).")
+print("The full simulation reproduces it to machine precision:")
 rng = np.random.default_rng(1)
-for _ in range(500):
-    theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-    s = bloch_state(theta, phi)
-    worst = max(worst, abs(fidelity(s, clone(spec, s).rho_a)
-                           - meridional_fidelity_general(theta, phi)))
+thetas, phis = rng.uniform(0, np.pi, 500), rng.uniform(0, 2 * np.pi, 500)
+worst = max(abs(fidelity(bloch_state(t, f), clone(spec, bloch_state(t, f)).rho_a) - want)
+            for t, f, want in zip(thetas, phis, fidelity_closed_form(p, thetas, phis)))
 print(f"max |simulation - formula| over 500 random states: {worst:.2e}\n")
 
 wz = wootters_zurek_spec()
@@ -59,6 +55,6 @@ print("Compare the basis-copying machine (Y = 0): perfect at the poles,")
 print("useless at the equator.")
 for deg in (0, 45, 90):
     theta = np.radians(deg)
-    s = main_circle_state(theta, "+")
+    s = bloch_state(theta)
     f = fidelity(s, clone(wz, s).rho_a)
     print(f"  theta = {deg:>3}d  F = {f:.6f}")

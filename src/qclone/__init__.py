@@ -17,7 +17,6 @@ from .qcore import (
     fidelities,
     fidelity,
     ket,
-    main_circle_state,
     partial_trace,
     pure_density,
     tensor,
@@ -37,7 +36,6 @@ from .machines import (
     gram_matrix,
     load_spec,
     marginals,
-    meridional_fidelity_general,
     meridional_spec,
     reduced_output_closed_form,
     save_spec,
@@ -97,9 +95,7 @@ __all__ = [
     "info_curve",
     "ket",
     "load_spec",
-    "main_circle_state",
     "marginals",
-    "meridional_fidelity_general",
     "meridional_spec",
     "optimize_average",
     "optimize_equal_fidelity",

@@ -142,7 +142,8 @@ def povm(pair: B92Pair) -> POVMTriple:
 def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Tr(G_mu rho) (..., 3) for POVM elements (..., 3, 2, 2) and qubit states
     (..., 2, 2), broadcast over the leading axes. Raises ValueError if an
-    imaginary part or the distance of a row sum from 1 exceeds 1e-12."""
+    imaginary part or the distance of a row sum from 1 exceeds 1e-12, then
+    clips the rounding noise of probabilities that are 0 or 1 into [0, 1]."""
     vals = np.einsum("...mij,...ji->...m", g_ops, mats)
     worst = np.max(np.abs(vals.imag), initial=0.0)
     if worst > 1e-12:
@@ -152,7 +153,7 @@ def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
     off = np.abs(total - 1.0) > _POVM_SUM_TOL
     if np.any(off):
         raise ValueError(f"outcome probabilities sum to {total[off].flat[0]}, not 1")
-    return probs
+    return np.clip(probs, 0.0, 1.0)
 
 
 def outcome_probs(ops: POVMTriple, rho: DensityMatrix) -> tuple:
@@ -173,11 +174,6 @@ class AttackAnalysis:
     outcome_probs: dict
 
 
-def _clone_marginal(spec: CloningSpec, amps: np.ndarray) -> np.ndarray:
-    """One clone's reduced states (..., 2, 2) for input amplitudes (..., 2)."""
-    return marginals(spec, amps[..., 0], amps[..., 1])
-
-
 def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     """Outcome table P_mu_i (n, 2, 3), information (n,) and discrepancy (n,)
     of a cloning attack at each of n half-angles in (0, pi/2].
@@ -188,7 +184,7 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     coincide for machines symmetric across the meridian midpoint).
     """
     signals = _signals(varthetas)
-    mats = _clone_marginal(spec, signals)
+    mats = marginals(spec, signals)
     g_ops = _povm_arrays(signals[:, 0], signals[:, 1])
     probs = _probabilities(g_ops[:, None], mats)  # (n, signal u|v, outcome)
     q = 0.5 * (probs[:, 0] + probs[:, 1])
@@ -273,9 +269,9 @@ def simulate_protocol(spec: CloningSpec | None, vartheta: float, n: int,
         raise ValueError(f"need at least one trial, got {n}")
     seed = int(seed)
     signals = _signals(b92_pair(vartheta).vartheta)
-    received = _projectors(signals) if spec is None else _clone_marginal(spec, signals)
+    received = _projectors(signals) if spec is None else marginals(spec, signals)
     prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]), received)
-    cums = np.cumsum(np.clip(prob_rows, 0.0, None), axis=1)
+    cums = np.cumsum(prob_rows, axis=1)
 
     bits = (rng.trial_uniforms(seed, n, draw=0) >= 0.5).astype(np.int64)
     pick = rng.trial_uniforms(seed, n, draw=1)

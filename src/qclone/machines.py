@@ -19,20 +19,23 @@ The Cauchy-Schwarz bounds 0 <= zeta <= 1/2 and 0 <= eta, kappa <=
 2 sqrt(zeta (1 - 2 zeta)) are necessary but not sufficient for such vectors
 to exist; realizability is the positive semidefiniteness of their 4x4 Gram
 matrix for some free overlap q = <Q0|Q1>, which reduces to the closed
-condition kappa^2 + eta^2 <= 4 zeta (1 - 2 zeta) (cross-checked against a
-brute-force eigenvalue scan in the test suite).
+condition that the Gram margin 4 zeta (1 - 2 zeta) - (kappa^2 + eta^2) is
+non-negative (cross-checked against a brute-force eigenvalue scan in the
+test suite).
 
-For an input on the x-z main circle, cos(theta/2)|0> +/- sin(theta/2)|1>,
-each clone's reduced state and fidelity have closed forms:
+For a machine with that Gram matrix (gram_matrix(p, q), any q) and the input
+cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, each clone's reduced state and
+fidelity have closed forms:
 
     <0|rho|0> = cos^2(theta/2) - zeta cos(theta)
     <1|rho|1> = sin^2(theta/2) + zeta cos(theta)
-    off-diagonal = (kappa +/- eta sin(theta)) / 2
+    <0|rho|1> = kappa / 2 + (eta / 2) sin(theta) e^{-i phi}
 
-    F(theta) = (1 - zeta) - (1 - eta - 2 zeta) sin^2(theta) / 2
-               +/- (kappa / 2) sin(theta)
+    F(theta, phi) = 1 - zeta - (1 - 2 zeta - eta) sin^2(theta) / 2
+                    + (kappa / 2) sin(theta) cos(phi)
 
-with '+' on the Eastern branch (phi = 0) and '-' on the Western (phi = pi).
+The Eastern meridian is phi = 0 and the Western phi = pi; kappa > 0 favours
+the Eastern side, where cos(phi) = 1.
 
 For any input alpha|0> + beta|1> the reduced state of one clone depends
 only on the 4x4 Gram matrix G of (Q0, Q1, Y0, Y1) and on (alpha, beta).
@@ -68,6 +71,7 @@ from .qcore import (
     DensityMatrix,
     PureQubit,
     StateVector,
+    check_bloch_angles,
     check_qubit_densities,
     partial_trace,
     to_density,
@@ -101,17 +105,29 @@ class BHParams:
         object.__setattr__(self, "kappa", vals[2])
 
 
+def gram_margin(zeta, eta, kappa):
+    """Realizability margin 4 zeta (1 - 2 zeta) - (kappa^2 + eta^2), for
+    scalars or arrays. It is >= 0 exactly when kappa^2 + eta^2 <=
+    4 zeta (1 - 2 zeta) holds in floating point, boundary points included."""
+    return 4.0 * zeta * (1.0 - 2.0 * zeta) - (kappa * kappa + eta * eta)
+
+
 def feasible(p: BHParams) -> bool:
     """Whether (zeta, eta, kappa) describes a realizable machine.
 
     True iff 0 <= zeta <= 1/2, eta >= 0, kappa >= 0 and the Gram matrix of
     the four apparatus vectors is positive semidefinite for some overlap
-    q = <Q0|Q1>, equivalently kappa^2 + eta^2 <= 4 zeta (1 - 2 zeta).
+    q = <Q0|Q1>, equivalently gram_margin(zeta, eta, kappa) >= 0.
     """
     z, e, k = p.zeta, p.eta, p.kappa
-    if not (0.0 <= z <= 0.5 and e >= 0.0 and k >= 0.0):
-        return False
-    return k * k + e * e <= 4.0 * z * (1.0 - 2.0 * z)
+    return 0.0 <= z <= 0.5 and e >= 0.0 and k >= 0.0 and gram_margin(z, e, k) >= 0.0
+
+
+def _require_feasible(p: BHParams) -> None:
+    if not feasible(p):
+        raise ValueError(
+            f"parameters (zeta={p.zeta}, eta={p.eta}, kappa={p.kappa}) are not "
+            "realizable: kappa^2 + eta^2 must not exceed 4*zeta*(1 - 2*zeta)")
 
 
 def gram_matrix(p: BHParams, q_overlap: float) -> np.ndarray:
@@ -263,10 +279,7 @@ def synthesize(p: BHParams) -> CloningSpec:
     Gram matrix; eigenvalues below 1e-12 are clamped to zero, and the
     apparatus dimension is the resulting rank.
     """
-    if not feasible(p):
-        raise ValueError(
-            f"parameters (zeta={p.zeta}, eta={p.eta}, kappa={p.kappa}) are not "
-            "realizable: kappa^2 + eta^2 must not exceed 4*zeta*(1 - 2*zeta)")
+    _require_feasible(p)
     z, e, k = p.zeta, p.eta, p.kappa
     if z == 0.0:
         q = 0.0
@@ -408,21 +421,23 @@ def _require_unitary(spec: CloningSpec) -> None:
             f"spec violates unitarity: residual {worst} = {report.residuals[worst]:.3e}")
 
 
-def marginals(spec: CloningSpec, alpha, beta) -> np.ndarray:
-    """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>.
+def marginals(spec: CloningSpec, amps) -> np.ndarray:
+    """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>
+    given as amplitude stacks (..., 2), such as bloch_amplitudes returns.
 
-    alpha and beta broadcast against each other. Explicit variant: the Gram
-    formulas of the module docstring, after one unitarity validation of the
-    spec and the same joint-norm check (1e-8) as clone(). Channel variant:
-    F |s><s| + (1-F) |s_perp><s_perp|. Every result passes the DensityMatrix
-    checks (finite, unit trace, eigenvalues in [0, 1]) or a ValueError is
-    raised; entries agree with clone(spec, state).rho_a to rounding.
+    Explicit variant: the Gram formulas of the module docstring, after one
+    unitarity validation of the spec and the same joint-norm check (1e-8) as
+    clone(). Channel variant: F |s><s| + (1-F) |s_perp><s_perp|. Every
+    result passes the DensityMatrix checks (finite, unit trace, eigenvalues
+    in [0, 1]) or a ValueError is raised; entries agree with
+    clone(spec, state).rho_a to rounding.
     """
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, dtype=np.complex128),
-                                      np.asarray(beta, dtype=np.complex128))
+    s = np.asarray(amps, dtype=np.complex128)
+    if s.shape[-1:] != (2,):
+        raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
+    alpha, beta = s[..., 0], s[..., 1]
     if spec.variant == "channel":
         f = spec.clone_fidelity
-        s = np.stack([alpha, beta], axis=-1)
         s_perp = np.stack([-beta.conj(), alpha.conj()], axis=-1)
         mats = (f * (s[..., :, None] * s.conj()[..., None, :])
                 + (1 - f) * (s_perp[..., :, None] * s_perp.conj()[..., None, :]))
@@ -451,46 +466,30 @@ def marginals(spec: CloningSpec, alpha, beta) -> np.ndarray:
     return mats
 
 
-def _check_main_circle_args(p: BHParams, theta: float, sign: str):
-    if not feasible(p):
-        raise ValueError(
-            f"parameters (zeta={p.zeta}, eta={p.eta}, kappa={p.kappa}) are not realizable")
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+def reduced_output_closed_form(p: BHParams, theta, phi) -> np.ndarray:
+    """One clone's reduced states (..., 2, 2) at Bloch angles (theta, phi), in
+    the closed form of the module docstring. theta and phi broadcast against
+    each other and are checked like bloch_amplitudes' angles."""
+    _require_feasible(p)
+    theta, phi = check_bloch_angles(theta, phi)
+    shift = p.zeta * np.cos(theta)
+    mats = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    mats[..., 0, 0] = np.cos(theta / 2) ** 2 - shift
+    mats[..., 1, 1] = np.sin(theta / 2) ** 2 + shift
+    mats[..., 0, 1] = p.kappa / 2 + (p.eta / 2) * np.sin(theta) * np.exp(-1j * phi)
+    mats[..., 1, 0] = mats[..., 0, 1].conj()
+    check_qubit_densities(mats)
+    return mats
 
 
-def reduced_output_closed_form(p: BHParams, theta: float, sign: str) -> DensityMatrix:
-    """Single-clone output for a main-circle input, in closed form."""
-    _check_main_circle_args(p, theta, sign)
-    z, e, k = p.zeta, p.eta, p.kappa
-    c2 = np.cos(theta / 2) ** 2
-    s2 = np.sin(theta / 2) ** 2
-    ct, st = np.cos(theta), np.sin(theta)
-    off = (k + e * st) / 2 if sign == "+" else (k - e * st) / 2
-    mat = np.array([[c2 - z * ct, off], [off, s2 + z * ct]])
-    return DensityMatrix((2,), mat)
-
-
-def fidelity_closed_form(p: BHParams, theta: float, sign: str) -> float:
-    """Input-output fidelity for a main-circle input, in closed form."""
-    _check_main_circle_args(p, theta, sign)
+def fidelity_closed_form(p: BHParams, theta, phi):
+    """Input-output fidelities F(theta, phi) of the module docstring, with
+    theta and phi broadcast and checked as in reduced_output_closed_form."""
+    _require_feasible(p)
+    theta, phi = check_bloch_angles(theta, phi)
     z, e, k = p.zeta, p.eta, p.kappa
     st = np.sin(theta)
-    branch = st if sign == "+" else -st
-    return float((1 - z) - 0.5 * (1 - e - 2 * z) * st * st + (k / 2) * branch)
-
-
-def meridional_fidelity_general(theta: float, phi: float) -> float:
-    """Meridional-machine fidelity for an arbitrary Bloch input (theta, phi):
-    9/10 - (1/5) sin(theta) (sin(theta) - cos(phi))."""
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if not 0.0 <= phi < 2 * np.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
-    st = np.sin(theta)
-    return float(0.9 - 0.2 * st * (st - np.cos(phi)))
+    return (1 - z) - 0.5 * (1 - e - 2 * z) * st * st + (k / 2) * st * np.cos(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machines import BHParams, feasible
+from .machines import BHParams, _require_feasible, gram_margin
 
 _FOUR_OVER_PI = 4.0 / np.pi
 
 
+def _mean_fidelity(zeta, eta, kappa):
+    """Favg = (3 - 2 zeta + eta + 4 kappa / pi) / 4, for scalars or arrays."""
+    return (3.0 - 2.0 * zeta + eta + _FOUR_OVER_PI * kappa) / 4.0
+
+
 def average_fidelity(p: BHParams) -> float:
-    """Closed-form mean Eastern-meridian fidelity (3 - 2z + e + 4k/pi)/4."""
-    if not feasible(p):
-        raise ValueError(
-            f"parameters (zeta={p.zeta}, eta={p.eta}, kappa={p.kappa}) are not realizable")
-    return (3.0 - 2.0 * p.zeta + p.eta + _FOUR_OVER_PI * p.kappa) / 4.0
+    """Closed-form mean Eastern-meridian fidelity of a realizable triple."""
+    _require_feasible(p)
+    return _mean_fidelity(p.zeta, p.eta, p.kappa)
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,8 @@ class OptimizationResult:
 
 
 def _boundary_flags(p: BHParams, tol: float = 1e-6) -> dict:
-    margin = 4 * p.zeta * (1 - 2 * p.zeta) - p.kappa ** 2 - p.eta ** 2
     return {
-        "gram": abs(margin) <= tol,
+        "gram": abs(gram_margin(p.zeta, p.eta, p.kappa)) <= tol,
         "zeta_lower": p.zeta <= tol,
         "zeta_upper": abs(p.zeta - 0.5) <= tol,
         "eta_lower": p.eta <= tol,
@@ -103,7 +105,7 @@ def optimize_average() -> OptimizationResult:
     r = 2.0 * np.sqrt(zeta * (1.0 - 2.0 * zeta))
     params = BHParams(zeta, r / c, r * _FOUR_OVER_PI / c)
     best = average_fidelity(params)
-    equal_point = (3.0 - 2.0 * 0.1 + 0.4 + _FOUR_OVER_PI * 0.4) / 4.0
+    equal_point = average_fidelity(optimize_equal_fidelity().params)
     notes = (
         f"free optimum exceeds the equal-fidelity point's average {equal_point:.6f} "
         f"by {best - equal_point:.6f}; maximizing the mean does not keep the three "
@@ -131,8 +133,8 @@ def scan_feasible_region(grid_steps: int) -> np.ndarray:
     es = np.linspace(0.0, 1.0, grid_steps)
     ks = np.linspace(0.0, 1.0, grid_steps)
     zz, ee, kk = np.meshgrid(zs, es, ks, indexing="ij")
-    feas = kk ** 2 + ee ** 2 <= 4 * zz * (1 - 2 * zz)
-    favg = np.where(feas, (3.0 - 2.0 * zz + ee + _FOUR_OVER_PI * kk) / 4.0, np.nan)
+    feas = gram_margin(zz, ee, kk) >= 0.0
+    favg = np.where(feas, _mean_fidelity(zz, ee, kk), np.nan)
     out = np.column_stack([
         zz.ravel(), ee.ravel(), kk.ravel(),
         feas.ravel().astype(float), favg.ravel(),

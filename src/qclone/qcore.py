@@ -49,14 +49,7 @@ class PureQubit:
     phi: float = 0.0
 
     def __post_init__(self):
-        theta = float(self.theta)
-        phi = float(self.phi)
-        if not (np.isfinite(theta) and np.isfinite(phi)):
-            raise ValueError("angles must be finite")
-        if not 0.0 <= theta <= np.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        if not 0.0 <= phi < 2 * np.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+        theta, phi = map(float, check_bloch_angles(float(self.theta), float(self.phi)))
         if theta == 0.0 or theta == np.pi:
             phi = 0.0
         object.__setattr__(self, "theta", theta)
@@ -70,14 +63,10 @@ class PureQubit:
         return amps
 
 
-def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
-    """Amplitudes (..., 2) of the pure qubits at Bloch angles (theta, phi).
-
-    The batched form of PureQubit: theta and phi broadcast against each
-    other, every angle must be finite with theta in [0, pi] and phi in
-    [0, 2*pi), and the poles give exactly [1, 0] (theta = 0) and [0, 1]
-    (theta = pi) whatever phi is.
-    """
+def check_bloch_angles(theta, phi):
+    """Bloch angles as float arrays broadcast against each other, after
+    checking that every angle is finite with theta in [0, pi] and phi in
+    [0, 2*pi); raises ValueError otherwise."""
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                      np.asarray(phi, dtype=float))
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
@@ -88,6 +77,17 @@ def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
     bad = (phi < 0.0) | (phi >= 2 * np.pi)
     if np.any(bad):
         raise ValueError(f"phi must lie in [0, 2*pi), got {float(phi[bad].flat[0])}")
+    return theta, phi
+
+
+def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
+    """Amplitudes (..., 2) of the pure qubits at Bloch angles (theta, phi).
+
+    The batched form of PureQubit: theta and phi broadcast against each
+    other and are checked by check_bloch_angles, and the poles give exactly
+    [1, 0] (theta = 0) and [0, 1] (theta = pi) whatever phi is.
+    """
+    theta, phi = check_bloch_angles(theta, phi)
     amps = np.empty(theta.shape + (2,), dtype=np.complex128)
     amps[..., 0] = np.cos(theta / 2)
     amps[..., 1] = np.exp(1j * phi) * np.sin(theta / 2)
@@ -99,18 +99,6 @@ def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
 def bloch_state(theta: float, phi: float = 0.0) -> PureQubit:
     """Pure qubit at Bloch angles (theta, phi)."""
     return PureQubit(theta, phi)
-
-
-def main_circle_state(theta: float, sign: str) -> PureQubit:
-    """State cos(theta/2)|0> +/- sin(theta/2)|1> on the x-z main circle.
-
-    sign '+' is the Eastern meridian (phi = 0), '-' the Western (phi = pi).
-    """
-    if sign == "+":
-        return PureQubit(theta, 0.0)
-    if sign == "-":
-        return PureQubit(theta, np.pi)
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
 @dataclass(frozen=True, eq=False)

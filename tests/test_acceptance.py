@@ -19,7 +19,6 @@ from qclone.machines import (
     clone,
     feasible,
     fidelity_closed_form,
-    meridional_fidelity_general,
     meridional_spec,
     reduced_output_closed_form,
     synthesize,
@@ -29,7 +28,7 @@ from qclone.optimizer import (
     average_fidelity,
     optimize_equal_fidelity,
 )
-from qclone.qcore import bloch_state, fidelity, main_circle_state, pure_density
+from qclone.qcore import bloch_state, fidelity, pure_density
 
 import oracles
 
@@ -82,8 +81,8 @@ def test_criterion_02_average_fidelity_closed_form():
 def test_criterion_03_meridian_fidelity_curve():
     p = BHParams(0.1, 0.4, 0.4)
     thetas = np.linspace(0.0, np.pi, 181)
-    east = np.array([fidelity_closed_form(p, t, "+") for t in thetas])
-    west = np.array([fidelity_closed_form(p, t, "-") for t in thetas])
+    east = np.array([fidelity_closed_form(p, t, 0.0) for t in thetas])
+    west = np.array([fidelity_closed_form(p, t, np.pi) for t in thetas])
     step = thetas[1] - thetas[0]
 
     ok = abs(east.min() - 0.90) <= 1e-9 and abs(east.max() - 0.95) <= 1e-9
@@ -107,9 +106,9 @@ def test_criterion_04_simulation_equals_closed_forms():
             continue
         done += 1
         theta = rng.uniform(0.0, np.pi)
-        sign = "+" if rng.uniform() < 0.5 else "-"
-        got = clone(synthesize(p), main_circle_state(theta, sign)).rho_a.matrix
-        want = reduced_output_closed_form(p, theta, sign).matrix
+        phi = 0.0 if rng.uniform() < 0.5 else np.pi
+        got = clone(synthesize(p), bloch_state(theta, phi)).rho_a.matrix
+        want = reduced_output_closed_form(p, theta, phi)
         if np.max(np.abs(got - want)) > 1e-10:
             ok = False
             break
@@ -119,7 +118,7 @@ def test_criterion_04_simulation_equals_closed_forms():
         phi = rng.uniform(0.0, 2 * np.pi)
         s = bloch_state(theta, phi)
         f_sim = fidelity(s, clone(spec, s).rho_a)
-        if abs(f_sim - meridional_fidelity_general(theta, phi)) > 1e-10:
+        if abs(f_sim - fidelity_closed_form(BHParams(0.1, 0.4, 0.4), theta, phi)) > 1e-10:
             ok = False
             break
     _report(4, "synthesized-machine simulation matches the closed forms", ok)

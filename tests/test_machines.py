@@ -17,7 +17,6 @@ from qclone.machines import (
     gram_matrix,
     load_spec,
     marginals,
-    meridional_fidelity_general,
     meridional_spec,
     reduced_output_closed_form,
     save_spec,
@@ -26,7 +25,7 @@ from qclone.machines import (
     validate_unitarity,
     wootters_zurek_spec,
 )
-from qclone.qcore import bloch_amplitudes, bloch_state, fidelity, main_circle_state, pure_density
+from qclone.qcore import bloch_amplitudes, bloch_state, fidelity, pure_density
 
 
 def _random_feasible(rng, count):
@@ -168,13 +167,13 @@ def test_clone_closed_form_equivalence_random():
     for p in _random_feasible(rng, 20):
         spec = synthesize(p)
         theta = rng.uniform(0.0, np.pi)
-        for sign in ("+", "-"):
-            got = clone(spec, main_circle_state(theta, sign)).rho_a.matrix
-            want = reduced_output_closed_form(p, theta, sign).matrix
+        for phi in (0.0, np.pi):
+            got = clone(spec, bloch_state(theta, phi)).rho_a.matrix
+            want = reduced_output_closed_form(p, theta, phi)
             np.testing.assert_allclose(got, want, atol=1e-10)
-            f_sim = fidelity(main_circle_state(theta, sign),
-                             clone(spec, main_circle_state(theta, sign)).rho_a)
-            assert f_sim == pytest.approx(fidelity_closed_form(p, theta, sign), abs=1e-10)
+            f_sim = fidelity(bloch_state(theta, phi),
+                             clone(spec, bloch_state(theta, phi)).rho_a)
+            assert f_sim == pytest.approx(fidelity_closed_form(p, theta, phi), abs=1e-10)
 
 
 def test_clone_rejects_invalid_spec():
@@ -244,7 +243,7 @@ def test_marginals_match_clone_reference():
         theta = np.concatenate([rng.uniform(0.0, np.pi, 4), [0.0, np.pi]])
         phi = np.concatenate([rng.uniform(0.0, 2 * np.pi, 4), [1.0, 4.0]])
         amps = bloch_amplitudes(theta, phi)
-        got = marginals(spec, amps[:, 0], amps[:, 1])
+        got = marginals(spec, amps)
         assert got.shape == (theta.size, 2, 2)
         for t, p, mat in zip(theta, phi, got):
             want = clone(spec, bloch_state(t, p)).rho_a.matrix
@@ -253,9 +252,16 @@ def test_marginals_match_clone_reference():
 
 def test_marginals_broadcast_shapes():
     amps = bloch_amplitudes(np.linspace(0.0, np.pi, 5), np.array([[0.0], [np.pi]]))
-    mats = marginals(meridional_spec(), amps[..., 0], amps[..., 1])
+    mats = marginals(meridional_spec(), amps)
     assert mats.shape == (2, 5, 2, 2)
     np.testing.assert_allclose(mats[:, 0], [[[0.9, 0.2], [0.2, 0.1]]] * 2, atol=1e-15)
+
+
+def test_marginals_need_an_amplitude_axis_of_length_2():
+    for spec in (meridional_spec(), channel_spec(0.9)):
+        for amps in (np.ones((4, 3)), np.array(1.0), np.ones((2, 0))):
+            with pytest.raises(ValueError):
+                marginals(spec, amps)
 
 
 def test_marginals_reject_a_corrupted_spec_in_a_batch():
@@ -272,7 +278,7 @@ def test_marginals_reject_a_corrupted_spec_in_a_batch():
     outcomes = []
     for spec in batch:
         try:
-            marginals(spec, amps[:, 0], amps[:, 1])
+            marginals(spec, amps)
             outcomes.append("ok")
         except ValueError:
             outcomes.append("rejected")
@@ -282,47 +288,48 @@ def test_marginals_reject_a_corrupted_spec_in_a_batch():
 def test_marginals_reject_one_bad_input_in_a_batch():
     amps = bloch_amplitudes(np.linspace(0.0, np.pi, 7), 0.3)
     for bad in (1.5, np.nan):
-        alpha = amps[:, 0].copy()
-        alpha[3] *= bad
+        corrupted = amps.copy()
+        corrupted[3, 0] *= bad
         for spec in (meridional_spec(), channel_spec(0.9)):
             with pytest.raises(ValueError):
-                marginals(spec, alpha, amps[:, 1])
+                marginals(spec, corrupted)
 
 
 # --- closed forms -----------------------------------------------------------
 
 def test_fidelity_closed_form_meridional_values():
     p = BHParams(0.1, 0.4, 0.4)
-    assert fidelity_closed_form(p, 0.0, "+") == pytest.approx(0.9, abs=1e-15)
-    assert fidelity_closed_form(p, np.pi / 2, "+") == pytest.approx(0.9, abs=1e-15)
-    assert fidelity_closed_form(p, np.pi / 6, "+") == pytest.approx(0.95, abs=1e-12)
-    assert fidelity_closed_form(p, np.pi / 2, "-") == pytest.approx(0.5, abs=1e-15)
+    assert fidelity_closed_form(p, 0.0, 0.0) == pytest.approx(0.9, abs=1e-15)
+    assert fidelity_closed_form(p, np.pi / 2, 0.0) == pytest.approx(0.9, abs=1e-15)
+    assert fidelity_closed_form(p, np.pi / 6, 0.0) == pytest.approx(0.95, abs=1e-12)
+    assert fidelity_closed_form(p, np.pi / 2, np.pi) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_reduced_output_trace_and_hermiticity():
     p = BHParams(0.12, 0.3, 0.2)
-    rho = reduced_output_closed_form(p, 1.234, "-")
-    assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
+    rho = reduced_output_closed_form(p, 1.234, np.pi)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_meridional_general_formula():
-    assert meridional_fidelity_general(np.pi / 2, 0.0) == pytest.approx(0.9, abs=1e-15)
-    assert meridional_fidelity_general(np.pi / 2, np.pi) == pytest.approx(0.5, abs=1e-15)
-    assert meridional_fidelity_general(0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
+    p = BHParams(0.1, 0.4, 0.4)
+    assert fidelity_closed_form(p, np.pi / 2, 0.0) == pytest.approx(0.9, abs=1e-15)
+    assert fidelity_closed_form(p, np.pi / 2, np.pi) == pytest.approx(0.5, abs=1e-15)
+    assert fidelity_closed_form(p, 0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
     with pytest.raises(ValueError):
-        meridional_fidelity_general(-0.1, 0.0)
+        fidelity_closed_form(p, -0.1, 0.0)
     with pytest.raises(ValueError):
-        meridional_fidelity_general(1.0, 7.0)
+        fidelity_closed_form(p, 1.0, 7.0)
 
 
 def test_closed_form_domain_checks():
     p = BHParams(0.1, 0.4, 0.4)
     with pytest.raises(ValueError):
-        fidelity_closed_form(p, -0.5, "+")
+        fidelity_closed_form(p, -0.5, 0.0)
     with pytest.raises(ValueError):
-        fidelity_closed_form(BHParams(0.1, 0.7, 0.7), 1.0, "+")
+        fidelity_closed_form(BHParams(0.1, 0.7, 0.7), 1.0, 0.0)
     with pytest.raises(ValueError):
-        reduced_output_closed_form(p, 1.0, "east")
+        reduced_output_closed_form(p, 1.0, 2 * np.pi)
 
 
 def test_closed_forms_match_kernel_and_clone_over_the_sphere():

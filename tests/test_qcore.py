@@ -11,7 +11,6 @@ from qclone.qcore import (
     fidelities,
     fidelity,
     ket,
-    main_circle_state,
     partial_trace,
     pure_density,
     tensor,
@@ -94,14 +93,14 @@ def test_check_qubit_densities_matches_density_matrix_rules():
 
 
 def test_main_circle_branches():
-    east = main_circle_state(0.8, "+")
-    west = main_circle_state(0.8, "-")
+    east = bloch_state(0.8, 0.0)
+    west = bloch_state(0.8, np.pi)
     assert east.phi == 0.0
     assert west.phi == np.pi
     assert east.amplitudes[1].real > 0
     assert west.amplitudes[1].real < 0
     with pytest.raises(ValueError):
-        main_circle_state(0.8, "x")
+        bloch_state(0.8, 2 * np.pi)
 
 
 def test_state_vector_requires_unit_norm():
