@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -25,11 +26,28 @@ def qclone(*args, **kwargs):
     (["scan", "--grid-steps", "4"], "scan_4.csv"),
     (["scan", "--grid-steps", "4", "--format", "text"], "scan_4.txt"),
     (["optimize", "--mode", "average", "--format", "csv"], "optimize_average.csv"),
-], ids=["analyze", "simulate", "scan-csv", "scan-text", "optimize-average-csv"])
+    (["scan", "--grid-steps", "20"],
+     "sha256:01703e671b5080adf4a0304d7dad98dc7472ba94957228cc19990bba434beba3"),
+    (["scan", "--grid-steps", "20", "--format", "text"],
+     "sha256:49e8ac3c1242ceb49126a3bd0bfdc5bda513552f6dbe94b9318ff8418721337b"),
+    (["fidelity", "--machine", "meridional", "--points", "1001"],
+     "fidelity_meridional_1001.csv"),
+    (["fidelity", "--machine", "meridional", "--points", "1001", "--phi", "1.3"],
+     "fidelity_meridional_1001_phi1.3.csv"),
+    (["b92", "curve", "--machines", "meridional,universal,equatorial,ideal,wootters-zurek",
+      "--overlap-min", "0.01", "--overlap-max", "0.99", "--points", "101"],
+     "b92_curve_five_machines_101.csv"),
+], ids=["analyze", "simulate", "scan-csv", "scan-text", "optimize-average-csv",
+        "scan-20-csv", "scan-20-text", "fidelity-1001", "fidelity-1001-phi",
+        "curve-five-machines-101"])
 def test_pinned_outputs(argv, golden):
+    """Byte-exact outputs; tables over about 50 KB are pinned by SHA-256 digest."""
     res = subprocess.run([sys.executable, "-m", "qclone", *argv], capture_output=True)
     assert res.returncode == 0 and res.stderr == b""
-    assert res.stdout == (GOLDEN_DIR / golden).read_bytes()
+    if golden.startswith("sha256:"):
+        assert hashlib.sha256(res.stdout).hexdigest() == golden.removeprefix("sha256:")
+    else:
+        assert res.stdout == (GOLDEN_DIR / golden).read_bytes()
 
 
 @pytest.mark.parametrize("corrupt, status, golden", [
