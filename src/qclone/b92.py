@@ -41,7 +41,7 @@ from .qcore import DensityMatrix, PureQubit, bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
 from .machines import CloningSpec, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
-from .textio import format_float
+from .textio import render_records_text
 
 _POVM_PSD_TOL = -1e-12
 _POVM_SUM_TOL = 1e-12
@@ -241,17 +241,17 @@ class ProtocolRun:
         if self.errors > self.conclusive:
             raise ValueError("more errors than conclusive outcomes")
 
+    def records(self) -> list:
+        """(key, value) pairs of the tallies, in serialization order."""
+        return [("seed", self.seed), ("n_trials", self.n_trials),
+                ("conclusive", self.conclusive), ("inconclusive", self.inconclusive),
+                ("errors", self.errors),
+                ("conclusive_rate", self.empirical_conclusive_rate),
+                ("error_rate", self.empirical_error_rate)]
+
     def to_text(self) -> str:
         """Deterministic key=value serialization (byte-identical per seed)."""
-        return (
-            f"seed={self.seed}\n"
-            f"n_trials={self.n_trials}\n"
-            f"conclusive={self.conclusive}\n"
-            f"inconclusive={self.inconclusive}\n"
-            f"errors={self.errors}\n"
-            f"conclusive_rate={format_float(self.empirical_conclusive_rate)}\n"
-            f"error_rate={format_float(self.empirical_error_rate)}\n"
-        )
+        return render_records_text(self.records())
 
 
 def simulate_protocol(spec: CloningSpec | None, vartheta: float, n: int,

@@ -9,12 +9,13 @@ optimize    run the equal-fidelity or average-fidelity optimizer
 scan        tabulate realizability and average fidelity on a parameter grid
 b92         eavesdropping analysis: curve | analyze | simulate
 
-Each subcommand accepts --out PATH (default stdout), --format csv|text and
---degrees (interpret angle flags as degrees). Machine arguments take a
-built-in name (meridional, wootters-zurek, universal, equatorial, ideal)
-or a spec-file path; `b92 simulate` also accepts `none` for an untouched
-channel. Exit status: 0 success, 1 unreadable or invalid machine file
-(and `validate` on a failing spec), 2 usage or domain errors.
+Each subcommand accepts --out PATH (default stdout) and --format csv|text;
+fidelity, b92 analyze and b92 simulate also take --degrees (angle flags in
+degrees). Table cells are floats in textio's 12-digit form. Machine
+arguments take a built-in name (meridional, wootters-zurek, universal,
+equatorial, ideal) or a spec-file path; `b92 simulate` also accepts `none`
+for an untouched channel. Exit status: 0 success, 1 unreadable or invalid
+machine file (and `validate` on a failing spec), 2 usage or domain errors.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .qcore import bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps cli.fidelity)
 from .textio import render_records_csv, render_records_text, render_table
 
-_TABLE_COMMANDS = {"fidelity", "scan", "curve"}
-
 
 class SpecFileError(Exception):
     """A machine file could not be read, parsed, or validated."""
@@ -44,13 +43,14 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
     common.add_argument("--format", choices=("csv", "text"), default=None,
                         help="output format (default: csv for tables, text for reports)")
-    common.add_argument("--degrees", action="store_true",
-                        help="interpret angle flags as degrees")
     return common
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
+    angled = argparse.ArgumentParser(add_help=False, parents=[common])
+    angled.add_argument("--degrees", action="store_true",
+                        help="interpret angle flags as degrees")
     parser = argparse.ArgumentParser(
         prog="qclone",
         description="Symmetric 1-to-2 qubit cloning machines and B92 eavesdropping analysis.")
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a machine-spec file")
     p.add_argument("--spec", required=True, metavar="FILE")
 
-    p = sub.add_parser("fidelity", parents=[common],
+    p = sub.add_parser("fidelity", parents=[angled],
                        help="clone fidelity along the main circle")
     p.add_argument("--machine", required=True, metavar="NAME|FILE")
     p.add_argument("--points", type=int, default=181, metavar="N")
@@ -88,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--overlap-max", type=float, required=True, dest="overlap_max")
     c.add_argument("--points", type=int, required=True, metavar="N")
 
-    a = bsub.add_parser("analyze", parents=[common],
+    a = bsub.add_parser("analyze", parents=[angled],
                         help="analytic attack figures at one vartheta")
     a.add_argument("--machine", required=True, metavar="NAME|FILE")
     a.add_argument("--vartheta", type=float, required=True, metavar="ANGLE")
 
-    s = bsub.add_parser("simulate", parents=[common],
+    s = bsub.add_parser("simulate", parents=[angled],
                         help="seeded Monte Carlo protocol run")
     s.add_argument("--machine", required=True, metavar="NAME|FILE|none")
     s.add_argument("--vartheta", type=float, required=True, metavar="ANGLE")
@@ -170,7 +170,7 @@ def _cmd_fidelity(args):
     thetas = np.linspace(0.0, np.pi, args.points)
     states = bloch_amplitudes(thetas, phis)  # (curves, points, 2)
     curves = fidelities(states, machines.marginals(spec, states))
-    return header, np.column_stack([thetas, *curves]).tolist()
+    return header, np.column_stack([thetas, *curves])
 
 
 def _cmd_optimize(args):
@@ -188,10 +188,8 @@ def _cmd_optimize(args):
 
 
 def _cmd_scan(args):
-    data = optimizer.scan_feasible_region(args.grid_steps)
     header = ("zeta", "eta", "kappa", "feasible", "avg_fidelity")
-    rows = [(r[0], r[1], r[2], int(r[3]), r[4]) for r in data]
-    return header, rows
+    return header, optimizer.scan_feasible_region(args.grid_steps)
 
 
 def _cmd_b92_curve(args):
@@ -213,7 +211,7 @@ def _cmd_b92_curve(args):
     header = (["overlap"] + [f"I_{lab}" for lab in labels]
               + [f"D_{lab}" for lab in labels])
     columns = [overlaps] + [c[:, 1] for c in curves] + [c[:, 2] for c in curves]
-    return header, np.column_stack(columns).tolist()
+    return header, np.column_stack(columns)
 
 
 def _cmd_b92_analyze(args):
@@ -234,32 +232,22 @@ def _cmd_b92_simulate(args):
     spec = _resolve_machine(args.machine, allow_none=True)
     vartheta = _angle(args.vartheta, args.degrees)
     run = b92.simulate_protocol(spec, vartheta, args.n, args.seed)
-    items = [("machine", args.machine), ("vartheta", vartheta),
-             ("seed", run.seed), ("n_trials", run.n_trials),
-             ("conclusive", run.conclusive), ("inconclusive", run.inconclusive),
-             ("errors", run.errors),
-             ("conclusive_rate", run.empirical_conclusive_rate),
-             ("error_rate", run.empirical_error_rate)]
-    return items, 0
+    return [("machine", args.machine), ("vartheta", vartheta)] + run.records(), 0
+
+
+_TABLES = {"fidelity": _cmd_fidelity, "scan": _cmd_scan, "curve": _cmd_b92_curve}
+_RECORDS = {"validate": _cmd_validate, "optimize": _cmd_optimize,
+            "analyze": _cmd_b92_analyze, "simulate": _cmd_b92_simulate}
 
 
 def _dispatch(args):
     """Returns (rendered output, exit status)."""
-    command = args.command
-    if command == "b92":
-        command = args.b92_command
-    if command in _TABLE_COMMANDS:
-        handler = {"fidelity": _cmd_fidelity, "scan": _cmd_scan,
-                   "curve": _cmd_b92_curve}[command]
-        header, rows = handler(args)
-        fmt = args.format or "csv"
-        sep = "," if fmt == "csv" else "\t"
-        return render_table(header, rows, sep=sep), 0
-    handler = {"validate": _cmd_validate, "optimize": _cmd_optimize,
-               "analyze": _cmd_b92_analyze, "simulate": _cmd_b92_simulate}[command]
-    items, status = handler(args)
-    fmt = args.format or "text"
-    render = render_records_csv if fmt == "csv" else render_records_text
+    command = args.b92_command if args.command == "b92" else args.command
+    if command in _TABLES:
+        header, table = _TABLES[command](args)
+        return render_table(header, table, sep="\t" if args.format == "text" else ","), 0
+    items, status = _RECORDS[command](args)
+    render = render_records_csv if args.format == "csv" else render_records_text
     return render(items), status
 
 

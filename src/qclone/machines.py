@@ -78,6 +78,7 @@ from .qcore import (
 )
 
 UNITARITY_TOL = 1e-10
+FEASIBILITY_TOL = 1e-12  # boundary read-backs land ~1e-16 outside the region
 
 UNIVERSAL_FIDELITY = 5.0 / 6.0
 EQUATORIAL_FIDELITY = 0.5 + np.sqrt(1.0 / 8.0)
@@ -107,8 +108,8 @@ class BHParams:
 
 def gram_margin(zeta, eta, kappa):
     """Realizability margin 4 zeta (1 - 2 zeta) - (kappa^2 + eta^2), for
-    scalars or arrays. It is >= 0 exactly when kappa^2 + eta^2 <=
-    4 zeta (1 - 2 zeta) holds in floating point, boundary points included."""
+    scalars or arrays. A triple in the box is realizable when the margin is
+    at least -FEASIBILITY_TOL, boundary points included."""
     return 4.0 * zeta * (1.0 - 2.0 * zeta) - (kappa * kappa + eta * eta)
 
 
@@ -117,10 +118,13 @@ def feasible(p: BHParams) -> bool:
 
     True iff 0 <= zeta <= 1/2, eta >= 0, kappa >= 0 and the Gram matrix of
     the four apparatus vectors is positive semidefinite for some overlap
-    q = <Q0|Q1>, equivalently gram_margin(zeta, eta, kappa) >= 0.
+    q = <Q0|Q1>, equivalently gram_margin(zeta, eta, kappa) >= 0; every
+    bound is relaxed by FEASIBILITY_TOL.
     """
     z, e, k = p.zeta, p.eta, p.kappa
-    return 0.0 <= z <= 0.5 and e >= 0.0 and k >= 0.0 and gram_margin(z, e, k) >= 0.0
+    tol = FEASIBILITY_TOL
+    return (-tol <= z <= 0.5 + tol and e >= -tol and k >= -tol
+            and gram_margin(z, e, k) >= -tol)
 
 
 def _require_feasible(p: BHParams) -> None:
@@ -277,11 +281,13 @@ def synthesize(p: BHParams) -> CloningSpec:
     (q = 0 when zeta = 0 and the Y vectors vanish), which maximizes the
     positivity margin. Vectors are rows of a spectral square root of the
     Gram matrix; eigenvalues below 1e-12 are clamped to zero, and the
-    apparatus dimension is the resulting rank.
+    apparatus dimension is the resulting rank. A triple admitted only by
+    FEASIBILITY_TOL that no unitary machine approximates (eta or kappa far
+    above 2 sqrt(zeta) as zeta -> 0) raises ValueError.
     """
     _require_feasible(p)
     z, e, k = p.zeta, p.eta, p.kappa
-    if z == 0.0:
+    if z <= 0.0:
         q = 0.0
     else:
         lo = (k + e) ** 2 / (4 * z) - (1 - 2 * z)
@@ -292,16 +298,17 @@ def synthesize(p: BHParams) -> CloningSpec:
     eigvals = np.where(eigvals < 1e-12, 0.0, eigvals)
     cols = np.nonzero(eigvals > 0.0)[0]
     rows = eigvecs[:, cols] * np.sqrt(eigvals[cols])
-    dim = len(cols)
-    return CloningSpec(
+    spec = CloningSpec(
         variant="explicit",
         name="synthesized",
-        apparatus_dim=dim,
+        apparatus_dim=len(cols),
         q0=rows[0],
         q1=rows[1],
         y0=rows[2],
         y1=rows[3],
     )
+    _require_unitary(spec)
+    return spec
 
 
 def meridional_spec() -> CloningSpec:

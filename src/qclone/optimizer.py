@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machines import BHParams, _require_feasible, gram_margin
+from .machines import FEASIBILITY_TOL, BHParams, _require_feasible, gram_margin
 
 _FOUR_OVER_PI = 4.0 / np.pi
 
@@ -133,7 +133,7 @@ def scan_feasible_region(grid_steps: int) -> np.ndarray:
     es = np.linspace(0.0, 1.0, grid_steps)
     ks = np.linspace(0.0, 1.0, grid_steps)
     zz, ee, kk = np.meshgrid(zs, es, ks, indexing="ij")
-    feas = gram_margin(zz, ee, kk) >= 0.0
+    feas = gram_margin(zz, ee, kk) >= -FEASIBILITY_TOL
     favg = np.where(feas, _mean_fidelity(zz, ee, kk), np.nan)
     out = np.column_stack([
         zz.ravel(), ee.ravel(), kk.ravel(),

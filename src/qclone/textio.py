@@ -4,13 +4,16 @@ Floats carry at most 12 significant digits, positional for magnitudes in
 [1e-4, 1e6) and scientific outside that window. Twelve digits is coarse
 enough that parse -> re-emit reproduces the same bytes (the nearest double
 to a 12-digit decimal rounds back to that decimal), which keeps committed
-golden files stable across platforms.
+golden files stable across platforms. A table is a float array, so every
+cell is a format_float; records mix ints, floats and strings.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -36,10 +39,10 @@ def format_value(v) -> str:
     return str(v)
 
 
-def render_table(header, rows, sep: str = ",") -> str:
+def render_table(header, table, sep: str = ",") -> str:
     lines = [sep.join(header)]
-    for row in rows:
-        lines.append(sep.join(format_value(v) for v in row))
+    lines += [sep.join(map(format_float, row))
+              for row in np.asarray(table, dtype=float).tolist()]
     return "\n".join(lines) + "\n"
 
 

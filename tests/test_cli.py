@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qclone import cli
 from qclone.machines import meridional_spec, save_spec
 from qclone.textio import format_float
 
@@ -75,6 +76,14 @@ def test_usage_errors_exit_2():
     assert qclone("optimize", "--mode", "nope").returncode == 2
     assert qclone("optimize", "--mode", "average", "--grid-step", "0.4").returncode == 2
     assert qclone("b92").returncode == 2
+    # --degrees exists only where an angle flag does
+    for argv in (["validate", "--spec", "x.json"], ["optimize", "--mode", "average"],
+                 ["scan", "--grid-steps", "2"],
+                 ["b92", "curve", "--machines", "meridional", "--overlap-min", "0.1",
+                  "--overlap-max", "0.9", "--points", "3"]):
+        res = qclone(*argv, "--degrees")
+        assert res.returncode == 2 and res.stdout == "", argv
+        assert "unrecognized arguments: --degrees" in res.stderr
 
 
 def test_help_exits_0():
@@ -261,3 +270,69 @@ def test_deterministic_output_repeated_runs():
                "--overlap-min", "0.05", "--overlap-max", "0.95", "--points", "19")
     assert a.stdout == b.stdout
     assert a.returncode == 0
+
+
+_FUZZ_FLOATS = ("nan", "inf", "-inf", "-0.0", "-1", "0", "1", "0.3", "1e308", "5e-324")
+_FUZZ_SIZES = ("-3", "0", "1", "2", "20")
+
+
+def test_cli_flag_fuzz_exits_cleanly(tmp_path, capsys):
+    """Seeded in-process fuzz of every subcommand: a valid invocation with up
+    to three flags dropped or set to values argparse accepts but that lie
+    outside the domain. No exception escapes run, the status is 0, 1 or 2,
+    and every error that argparse did not report is one `error:` line."""
+    spec = tmp_path / "mer.json"
+    save_spec(meridional_spec(), spec)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{broken")
+    paths = (str(spec), str(broken), str(tmp_path / "missing.json"), str(tmp_path))
+    machine = ("universal", "none", "") + paths
+    # flag -> (valid value, out-of-domain values)
+    commands = {
+        ("validate",): {"--spec": (paths[0], machine)},
+        ("fidelity",): {"--machine": ("meridional", machine),
+                        "--points": ("5", _FUZZ_SIZES), "--phi": ("1", _FUZZ_FLOATS)},
+        ("optimize",): {"--mode": ("average", ("equal-fidelity",))},
+        ("scan",): {"--grid-steps": ("3", _FUZZ_SIZES)},
+        ("b92", "curve"): {
+            "--machines": ("meridional,ideal", ("", ",", ",,", "universal,none",
+                                                f"equatorial,{paths[2]}", f"ideal,{paths[3]}")),
+            "--overlap-min": ("0.2", _FUZZ_FLOATS), "--overlap-max": ("0.8", _FUZZ_FLOATS),
+            "--points": ("4", _FUZZ_SIZES)},
+        ("b92", "analyze"): {"--machine": ("meridional", machine),
+                             "--vartheta": ("0.7", _FUZZ_FLOATS)},
+        ("b92", "simulate"): {"--machine": ("meridional", machine),
+                              "--vartheta": ("0.7", _FUZZ_FLOATS),
+                              "--n": ("100", ("-1", "0", "1", "10000")),
+                              "--seed": ("5", ("-1", "0", str(2 ** 64)))},
+    }
+    extras = ("--degrees", "--format=csv", "--format=text", f"--out={tmp_path / 'out.txt'}",
+              f"--out={tmp_path / 'no' / 'out.txt'}", f"--out={tmp_path}")
+    names = list(commands)
+    rng = np.random.default_rng(505)
+    for _ in range(300):
+        words = names[rng.integers(len(names))]
+        flags = commands[words]
+        fuzzed = set(rng.choice(list(flags), size=min(len(flags), rng.integers(0, 4)),
+                                replace=False))
+        argv = list(words)
+        for flag, (valid, values) in flags.items():
+            if flag not in fuzzed:
+                argv.append(f"{flag}={valid}")
+            elif rng.random() < 0.9:  # otherwise the flag is left out
+                argv.append(f"{flag}={values[rng.integers(len(values))]}")
+        if rng.random() < 0.5:
+            argv.append(extras[rng.integers(len(extras))])
+        try:
+            cli.build_parser().parse_args(argv)
+            parsed = True
+        except SystemExit:
+            parsed = False
+        capsys.readouterr()
+        status = cli.run(argv)
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        if status == 1 or (status == 2 and parsed):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif status == 0:
+            assert err == "", (argv, err)

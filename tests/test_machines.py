@@ -25,6 +25,7 @@ from qclone.machines import (
     validate_unitarity,
     wootters_zurek_spec,
 )
+from qclone.optimizer import optimize_average, optimize_equal_fidelity
 from qclone.qcore import bloch_amplitudes, bloch_state, fidelity, pure_density
 
 
@@ -132,6 +133,25 @@ def test_synthesize_random_feasible_roundtrip():
         z, e, k = p.zeta, p.eta, p.kappa
         if z > 0:
             assert spec.q_overlap == pytest.approx(e * k / (2 * z), abs=1e-10)
+
+
+def test_boundary_machines_round_trip_realizable():
+    """Triples on the Gram boundary (the two optima, seeded draws, and the
+    eta = 0 and kappa = 0 axes) synthesize, and their read-backs stay
+    realizable and equal to the input."""
+    rng = np.random.default_rng(2024)
+    zs = rng.uniform(0.0, 0.5, 400)
+    radii = 2.0 * np.sqrt(zs * (1.0 - 2.0 * zs))
+    angles = rng.uniform(0.0, np.pi / 2, 400)
+    triples = [(r.params.zeta, r.params.eta, r.params.kappa)
+               for r in (optimize_equal_fidelity(), optimize_average())]
+    triples += list(zip(zs, radii * np.cos(angles), radii * np.sin(angles)))
+    triples += [(z, 0.0, r) for z, r in zip(zs, radii)]
+    triples += [(z, r, 0.0) for z, r in zip(zs, radii)]
+    for t in triples:
+        back = synthesize(BHParams(*t)).bh_params()
+        assert feasible(back), (t, back)
+        assert np.allclose((back.zeta, back.eta, back.kappa), t, atol=1e-10)
 
 
 def test_synthesize_rejects_infeasible():

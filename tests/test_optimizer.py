@@ -98,10 +98,12 @@ def test_scan_shape_and_flags():
 
 
 def test_scan_feasible_fraction_pinned():
-    # regression pin recorded at build time for the 50^3 grid
+    # regression pin for the 50^3 grid; it counts the four grid points on the
+    # exact Gram boundary, such as (9/98, 12/49, 24/49) and (10/49, 2/49,
+    # 34/49), whose float margin is -5.6e-17
     rows = scan_feasible_region(50)
     assert rows.shape == (125000, 5)
-    assert int(rows[:, 3].sum()) == 32106
+    assert int(rows[:, 3].sum()) == 32110
     feas = rows[:, 3] == 1.0
     assert rows[feas, 4].max() == pytest.approx(0.9365191279267546, abs=1e-12)
     assert rows[feas, 4].min() == pytest.approx(0.5, abs=1e-12)

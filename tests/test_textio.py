@@ -34,5 +34,14 @@ def test_roundtrip_idempotence():
 def test_render_table_and_records():
     table = render_table(("a", "b"), [(1, 0.5), (2, 0.25)])
     assert table == "a,b\n1,0.5\n2,0.25\n"
+    cells = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-5, 1e-4],
+                      [1e6, 1e12, 0.0], [1.0, -1.0, np.pi]])
+    for sep in (",", "\t"):
+        lines = render_table(("x", "y", "z"), cells, sep).split("\n")
+        assert lines[0] == sep.join(("x", "y", "z")) and lines[-1] == ""
+        assert len(lines) == len(cells) + 2
+        for line, row in zip(lines[1:], cells):
+            assert line == sep.join(format_float(x) for x in row)
+    assert render_table(("x", "y", "z"), cells).split("\n")[1] == "0,nan,inf"
     recs = render_records_text([("x", 1), ("y", "ok")])
     assert recs == "x=1\ny=ok\n"
