@@ -31,6 +31,10 @@ def qclone(*args, **kwargs):
      "sha256:01703e671b5080adf4a0304d7dad98dc7472ba94957228cc19990bba434beba3"),
     (["scan", "--grid-steps", "20", "--format", "text"],
      "sha256:49e8ac3c1242ceb49126a3bd0bfdc5bda513552f6dbe94b9318ff8418721337b"),
+    (["scan", "--grid-steps", "56"],
+     "sha256:ddb261760131245a1005af5b294460c2cab14df01cfac7ff7756464646ca309e"),
+    (["scan", "--grid-steps", "56", "--format", "text"],
+     "sha256:6c02f79fb99bfdf8adf93bb7c9536360f7bfa8ed20aae68a4fd3d6f0f73962f0"),
     (["fidelity", "--machine", "meridional", "--points", "1001"],
      "fidelity_meridional_1001.csv"),
     (["fidelity", "--machine", "meridional", "--points", "1001", "--phi", "1.3"],
@@ -39,8 +43,8 @@ def qclone(*args, **kwargs):
       "--overlap-min", "0.01", "--overlap-max", "0.99", "--points", "101"],
      "b92_curve_five_machines_101.csv"),
 ], ids=["analyze", "simulate", "scan-csv", "scan-text", "optimize-average-csv",
-        "scan-20-csv", "scan-20-text", "fidelity-1001", "fidelity-1001-phi",
-        "curve-five-machines-101"])
+        "scan-20-csv", "scan-20-text", "scan-56-csv", "scan-56-text",
+        "fidelity-1001", "fidelity-1001-phi", "curve-five-machines-101"])
 def test_pinned_outputs(argv, golden):
     """Byte-exact outputs; tables over about 50 KB are pinned by SHA-256 digest."""
     res = subprocess.run([sys.executable, "-m", "qclone", *argv], capture_output=True)
