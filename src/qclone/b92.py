@@ -22,12 +22,15 @@ gain is quantified in bits by the posterior-entropy chain
     Q_i_mu = P_mu_i / (2 q_mu),  H_mu = -sum_i Q_i_mu log2 Q_i_mu,
     I = 1 - sum_mu q_mu H_mu,
 
-and the disturbance Bob can detect is the discrepancy D = 1 - <s|rho_s|s>.
+and the disturbance Bob can detect is the discrepancy D = <s_perp|rho_s|s_perp>,
+the weight Bob's state puts on the state orthogonal to the signal (1 - F in
+exact arithmetic).
 
 simulate_protocol runs seeded Monte Carlo trials of the whole exchange,
 sampling POVM outcomes by inverse CDF on their exact probabilities with a
 counter-based RNG (one stream per trial), so runs are reproducible under
-any parallel partition of the trial range.
+any partition of the trial range; it runs the range in chunks of
+CHUNK_TRIALS trials, so its memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .textio import render_records_text
 
 _POVM_PSD_TOL = -1e-12
 _POVM_SUM_TOL = 1e-12
+CHUNK_TRIALS = 1 << 16  # trials simulated per block of variates
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,10 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     Eve applies the same POVM as Bob to her clone; priors are 1/2 each.
     Outcomes with zero total probability are skipped and 0 log 0 = 0.
     The discrepancy is the larger of the two per-state values (they
-    coincide for machines symmetric across the meridian midpoint).
+    coincide for machines symmetric across the meridian midpoint). A
+    channel puts weight 1 - F on s_perp by construction; that closed form
+    keeps D exactly 0 for the ideal channel, whose float |s><s| is not
+    exactly rank one.
     """
     signals = _signals(varthetas)
     mats = marginals(spec, signals)
@@ -193,7 +200,11 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
         terms = np.where(post > 0.0, post * np.log2(post), 0.0)
     qh = np.where(q > 0.0, -q * terms.sum(axis=1), 0.0)  # q_mu H_mu
     info = np.clip(1.0 - qh[:, 0] - qh[:, 1] - qh[:, 2], 0.0, 1.0)
-    disc = np.max(1.0 - fidelities(signals, mats), axis=1)
+    if spec.variant == "channel":
+        disc = np.full(len(signals), 1.0 - spec.clone_fidelity)
+    else:
+        s_perp = np.stack([-signals[..., 1].conj(), signals[..., 0].conj()], axis=-1)
+        disc = np.max(fidelities(s_perp, mats), axis=1)  # <s_perp|rho|s_perp>
     return probs, info, disc
 
 
@@ -262,27 +273,31 @@ def simulate_protocol(spec: CloningSpec | None, vartheta: float, n: int,
     configured, the state is cloned and one copy's marginal goes to Bob;
     Bob samples a POVM outcome from its exact distribution. G1 decodes as
     bit 1, G2 as bit 0, G3 is inconclusive. An error is a conclusive
-    outcome decoding to the wrong bit.
+    outcome decoding to the wrong bit. The seed must lie in [0, 2**64), the
+    range of the RNG's seed word, so that no two reported seeds give the
+    same run.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     signals = _signals(b92_pair(vartheta).vartheta)
     received = _projectors(signals) if spec is None else marginals(spec, signals)
     prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]), received)
-    cums = np.cumsum(prob_rows, axis=1)
+    cums = np.cumsum(prob_rows, axis=1)[:, :2]  # G1 and G1+G2 thresholds per state
 
-    bits = (rng.trial_uniforms(seed, n, draw=0) >= 0.5).astype(np.int64)
-    pick = rng.trial_uniforms(seed, n, draw=1)
-    thresholds = cums[bits]  # (n, 3) cumulative rows for each trial's state
-    outcome = (pick[:, None] >= thresholds[:, :2]).sum(axis=1)
-    conclusive = outcome < 2
-    decoded = np.where(outcome == 0, 1, 0)  # G1 -> v (bit 1), G2 -> u (bit 0)
-    wrong = conclusive & (decoded != bits)
-
-    n_conc = int(conclusive.sum())
-    n_err = int(wrong.sum())
+    n_conc = n_err = 0
+    for start in range(0, n, CHUNK_TRIALS):
+        size = min(CHUNK_TRIALS, n - start)
+        bits = (rng.trial_uniforms(seed, size, draw=0, start=start) >= 0.5).astype(np.intp)
+        pick = rng.trial_uniforms(seed, size, draw=1, start=start)
+        outcome = (pick[:, None] >= cums[bits]).sum(axis=1)  # 0: G1, 1: G2, 2: G3
+        n_conc += int(np.count_nonzero(outcome < 2))
+        # G1 decodes as bit 1 and G2 as bit 0, so a conclusive outcome is
+        # wrong exactly when it equals the bit sent
+        n_err += int(np.count_nonzero(outcome == bits))
     return ProtocolRun(
         seed=seed,
         n_trials=n,

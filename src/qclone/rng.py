@@ -51,11 +51,14 @@ def uniform(seed: int, trial: int, draw: int) -> float:
     return float(word >> np.uint64(11)) * _TO_FLOAT
 
 
-def trial_uniforms(seed: int, n: int, draw: int) -> np.ndarray:
-    """Uniform variates in [0, 1), one per trial index 0..n-1, for one draw slot."""
-    n = int(n)
+def trial_uniforms(seed: int, n: int, draw: int, start: int = 0) -> np.ndarray:
+    """Uniform variates in [0, 1), one per trial index start..start+n-1, for
+    one draw slot; any split of a trial range reproduces the whole range."""
+    n, start = int(n), int(start)
     if n < 0:
         raise ValueError(f"trial count must be non-negative, got {n}")
-    keys = stream_key(seed, np.arange(n, dtype=np.uint64))
+    if start < 0:
+        raise ValueError(f"first trial index must be non-negative, got {start}")
+    keys = stream_key(seed, np.arange(start, start + n, dtype=np.uint64))
     words = _seq_output(keys, np.uint64(int(draw)))
     return (words >> np.uint64(11)).astype(np.float64) * _TO_FLOAT

@@ -40,10 +40,20 @@ def format_value(v) -> str:
 
 
 def render_table(header, table, sep: str = ",") -> str:
-    lines = [sep.join(header)]
-    lines += [sep.join(map(format_float, row))
-              for row in np.asarray(table, dtype=float).tolist()]
-    return "\n".join(lines) + "\n"
+    """Header line, then one line per row of the 2-d float array `table`.
+
+    Each column is formatted once per distinct value and gathered back by
+    index, so a column that repeats values (the scan grid's zeta, eta, kappa
+    and feasible) costs one format_float call per value, not per cell.
+    np.unique merges -0.0 with 0.0 and every nan into one entry, which
+    format_float prints alike anyway.
+    """
+    columns = []
+    for col in np.asarray(table, dtype=float).T:
+        values, index = np.unique(col, return_inverse=True)
+        texts = np.array([format_float(v) for v in values.tolist()], dtype=object)
+        columns.append(texts[index].tolist())
+    return "\n".join([sep.join(header), *map(sep.join, zip(*columns))]) + "\n"
 
 
 def render_records_text(items) -> str:

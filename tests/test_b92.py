@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,13 @@ def test_ideal_machine_gives_full_information_no_disturbance():
     assert res.mutual_information == pytest.approx(1 - np.sin(0.5), abs=1e-12)
 
 
+def test_ideal_discrepancy_is_exactly_zero():
+    # the overlaps of the five-machine CLI golden; 1 - F left 43 of them at 1e-16
+    rows = info_curve(builtin_spec("ideal"), np.linspace(0.01, 0.99, 101))
+    assert np.count_nonzero(rows[:, 2]) == 0
+    assert attack_analysis(builtin_spec("ideal"), 0.7).discrepancy == 0.0
+
+
 def test_ideal_outcome_probabilities_are_never_negative():
     # G1 annihilates u and G2 annihilates v, so two entries are 0 in theory
     spec = builtin_spec("ideal")
@@ -189,6 +198,39 @@ def test_simulation_domain():
         simulate_protocol(None, 0.5, 0, 1)
     with pytest.raises(ValueError):
         simulate_protocol(None, 2.0, 100, 1)
+
+
+def test_simulation_rejects_seeds_outside_64_bits():
+    # the RNG reduces seeds modulo 2**64, so these would alias 2**64 - 1 and 0
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_protocol(None, 0.5, 100, seed)
+
+
+@pytest.mark.parametrize("machine", [None, "meridional", "equatorial"])
+def test_simulation_is_partition_invariant(monkeypatch, machine):
+    spec = None if machine is None else builtin_spec(machine)
+    n = 2000
+    runs = []
+    for chunk in (1, 7, 4096, n):
+        monkeypatch.setattr(b92, "CHUNK_TRIALS", chunk)
+        runs.append(simulate_protocol(spec, 0.9, n, 2718))
+    assert all(run == runs[0] for run in runs)
+    # ragged last chunks on both sides of a range longer than the default chunk
+    big = simulate_protocol(spec, 0.9, 100_003, 2718)
+    monkeypatch.undo()
+    assert big == simulate_protocol(spec, 0.9, 100_003, 2718)
+
+
+def test_simulation_memory_does_not_grow_with_trials():
+    # unchunked, 10**6 trials held about 58 MB of arrays at once
+    tracemalloc.start()
+    try:
+        simulate_protocol(meridional_spec(), 0.7, 1_000_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # --- the batched chain against per-state references ---------------------------

@@ -242,6 +242,19 @@ def test_simulate_matches_library_and_none_machine():
     assert "machine=none" in res.stdout
 
 
+def test_simulate_seed_outside_64_bits_is_a_usage_error():
+    # the RNG reduces seeds modulo 2**64; outside [0, 2**64) the reported seed
+    # would name another seed's run
+    base = ("b92", "simulate", "--machine", "meridional", "--vartheta", "0.7", "--n", "1000")
+    for seed in (-1, 2 ** 64):
+        res = qclone(*base, "--seed", str(seed))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    for seed in (0, 2 ** 64 - 1):
+        res = qclone(*base, "--seed", str(seed))
+        assert res.returncode == 0 and f"seed={seed}\n" in res.stdout
+
+
 def test_text_format_for_tables_and_csv_for_records():
     tabbed = qclone("fidelity", "--machine", "meridional", "--points", "3",
                     "--format", "text")

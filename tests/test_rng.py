@@ -34,6 +34,18 @@ def test_prefix_property():
     np.testing.assert_array_equal(short, long[:100])
 
 
+@pytest.mark.parametrize("start, n", [(0, 50), (1, 0), (7, 1), (65_536, 300), (123_457, 64)])
+def test_start_offset_is_a_slice_of_the_longer_range(start, n):
+    for draw in (0, 1):
+        got = rng.trial_uniforms(31415, n, draw, start=start)
+        np.testing.assert_array_equal(got, rng.trial_uniforms(31415, start + n, draw)[start:])
+
+
+def test_negative_start_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.trial_uniforms(1, 10, 0, start=-1)
+
+
 def test_seed_masked_to_64_bits():
     assert rng.uniform(2**64 + 5, 3, 1) == rng.uniform(5, 3, 1)
     assert rng.uniform(-1 % 2**64, 0, 0) == rng.uniform(2**64 - 1, 0, 0)

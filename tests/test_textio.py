@@ -1,4 +1,8 @@
+import math
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclone.textio import format_float, format_value, render_records_text, render_table
 
@@ -45,3 +49,28 @@ def test_render_table_and_records():
     assert render_table(("x", "y", "z"), cells).split("\n")[1] == "0,nan,inf"
     recs = render_records_text([("x", 1), ("y", "ok")])
     assert recs == "x=1\ny=ok\n"
+
+
+# Values where format_float changes branch (nan, signed zeros and infinities,
+# subnormals, the 1e-4 and 1e6 edges of the positional window, %g's switch
+# at 1e12) and distinct floats that print alike (0.3 and 0.1 + 0.2).
+CELL_POOL = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+             2.2250738585072014e-308, 1e-4, math.nextafter(1e-4, 0.0), -1e-4,
+             1e6, math.nextafter(1e6, 0.0), -1e6, 1e12, math.nextafter(1e12, math.inf),
+             1.0, -1.0, 0.3, 0.1 + 0.2, 1 / 3, math.pi, 123456.7890123]
+
+
+@st.composite
+def pooled_tables(draw):
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.sampled_from(CELL_POOL), min_size=cols, max_size=cols),
+                         max_size=25))
+    return np.array(rows, dtype=float).reshape(len(rows), cols)
+
+
+@settings(deadline=None)
+@given(pooled_tables(), st.sampled_from([",", "\t"]))
+def test_render_table_matches_per_cell_formatting(cells, sep):
+    header = [f"c{j}" for j in range(cells.shape[1])]
+    lines = [sep.join(header)] + [sep.join(map(format_float, row)) for row in cells.tolist()]
+    assert render_table(header, cells, sep) == "\n".join(lines) + "\n"
