@@ -198,9 +198,6 @@ def test_simulation_domain():
         simulate_protocol(None, 0.5, 0, 1)
     with pytest.raises(ValueError):
         simulate_protocol(None, 2.0, 100, 1)
-
-
-def test_simulation_rejects_seeds_outside_64_bits():
     # the RNG reduces seeds modulo 2**64, so these would alias 2**64 - 1 and 0
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="seed"):
