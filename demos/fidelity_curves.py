@@ -6,8 +6,7 @@ Run: python3 demos/fidelity_curves.py
 import numpy as np
 
 from qclone import (
-    BHParams,
-    bloch_state,
+    PureQubit,
     clone,
     fidelity,
     fidelity_closed_form,
@@ -24,7 +23,7 @@ p = spec.bh_params()
 print(f"The meridional machine has (zeta, eta, kappa) = "
       f"({p.zeta:.4f}, {p.eta:.4f}, {p.kappa:.4f}).")
 
-out = clone(spec, bloch_state(0.0))
+out = clone(spec, PureQubit(0.0))
 print("Cloning |0> gives each copy the mixed state")
 print(np.round(out.rho_a.matrix.real, 6))
 print()
@@ -46,7 +45,7 @@ print("which for this machine is 9/10 - (1/5) sin(theta) (sin(theta) - cos(phi))
 print("The full simulation reproduces it to machine precision:")
 rng = np.random.default_rng(1)
 thetas, phis = rng.uniform(0, np.pi, 500), rng.uniform(0, 2 * np.pi, 500)
-worst = max(abs(fidelity(bloch_state(t, f), clone(spec, bloch_state(t, f)).rho_a) - want)
+worst = max(abs(fidelity(PureQubit(t, f), clone(spec, PureQubit(t, f)).rho_a) - want)
             for t, f, want in zip(thetas, phis, fidelity_closed_form(p, thetas, phis)))
 print(f"max |simulation - formula| over 500 random states: {worst:.2e}\n")
 
@@ -55,6 +54,6 @@ print("Compare the basis-copying machine (Y = 0): perfect at the poles,")
 print("useless at the equator.")
 for deg in (0, 45, 90):
     theta = np.radians(deg)
-    s = bloch_state(theta)
+    s = PureQubit(theta)
     f = fidelity(s, clone(wz, s).rho_a)
     print(f"  theta = {deg:>3}d  F = {f:.6f}")

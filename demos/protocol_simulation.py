@@ -5,7 +5,7 @@ Run: python3 demos/protocol_simulation.py
 
 import numpy as np
 
-from qclone import attack_analysis, meridional_spec, simulate_protocol
+from qclone import attack_analysis, builtin_spec, meridional_spec, simulate_protocol
 
 VARTHETA = 0.7
 N = 50_000
@@ -15,7 +15,7 @@ print("SplitMix64 stream keyed by (seed, trial index), so a run is a pure")
 print("function of its seed; rerunning, resuming, or sharding trials across")
 print("workers cannot change a single outcome.\n")
 
-clean = simulate_protocol(None, VARTHETA, N, seed=2024)
+clean = simulate_protocol(builtin_spec("ideal"), VARTHETA, N, seed=2024)
 print(f"No eavesdropper, n = {N}, seed 2024:")
 print("  " + clean.to_text().replace("\n", "\n  ").rstrip("  "))
 print("Unambiguous discrimination never errs on intact states; the only cost")

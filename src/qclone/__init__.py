@@ -13,13 +13,9 @@ from .qcore import (
     PureQubit,
     StateVector,
     bloch_amplitudes,
-    bloch_state,
     fidelities,
     fidelity,
-    ket,
     partial_trace,
-    pure_density,
-    tensor,
     to_density,
 )
 from .machines import (
@@ -53,13 +49,9 @@ from .optimizer import (
 from .b92 import (
     AttackAnalysis,
     B92Pair,
-    POVMTriple,
     ProtocolRun,
     attack_analysis,
-    b92_pair,
     info_curve,
-    outcome_probs,
-    povm,
     simulate_protocol,
 )
 
@@ -74,16 +66,13 @@ __all__ = [
     "CloningSpec",
     "DensityMatrix",
     "OptimizationResult",
-    "POVMTriple",
     "ProtocolRun",
     "PureQubit",
     "StateVector",
     "ValidationReport",
     "attack_analysis",
     "average_fidelity",
-    "b92_pair",
     "bloch_amplitudes",
-    "bloch_state",
     "builtin_spec",
     "channel_spec",
     "clone",
@@ -93,22 +82,17 @@ __all__ = [
     "fidelity_closed_form",
     "gram_matrix",
     "info_curve",
-    "ket",
     "load_spec",
     "marginals",
     "meridional_spec",
     "optimize_average",
     "optimize_equal_fidelity",
-    "outcome_probs",
     "partial_trace",
-    "povm",
-    "pure_density",
     "reduced_output_closed_form",
     "save_spec",
     "scan_feasible_region",
     "simulate_protocol",
     "synthesize",
-    "tensor",
     "to_density",
     "validate_unitarity",
     "wootters_zurek_spec",

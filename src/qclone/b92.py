@@ -40,13 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import DensityMatrix, PureQubit, bloch_amplitudes, fidelities
+from .qcore import bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
 from .machines import CloningSpec, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
 from .textio import render_records_text
 
-_POVM_PSD_TOL = -1e-12
 _POVM_SUM_TOL = 1e-12
 CHUNK_TRIALS = 1 << 16  # trials simulated per block of variates
 
@@ -64,54 +63,9 @@ class B92Pair:
         object.__setattr__(self, "vartheta", vt)
 
     @property
-    def u(self) -> PureQubit:
-        return PureQubit(self.vartheta, 0.0)
-
-    @property
-    def v(self) -> PureQubit:
-        return PureQubit(np.pi - self.vartheta, 0.0)
-
-    @property
     def overlap(self) -> float:
         """O = <u|v>^2 = sin^2(vartheta)."""
         return float(np.sin(self.vartheta) ** 2)
-
-
-def b92_pair(vartheta: float) -> B92Pair:
-    """Signal pair for the given half-angle parameter."""
-    return B92Pair(vartheta)
-
-
-@dataclass(frozen=True, eq=False)
-class POVMTriple:
-    """Three-outcome measurement (G1, G2 conclusive, G3 inconclusive)."""
-
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-
-    def __post_init__(self):
-        ops = []
-        for name in ("g1", "g2", "g3"):
-            op = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            if op.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2, got {op.shape}")
-            if np.max(np.abs(op - op.conj().T)) > 1e-12:
-                raise ValueError(f"{name} is not Hermitian")
-            if np.linalg.eigvalsh(op)[0] < _POVM_PSD_TOL:
-                raise ValueError(f"{name} is not positive semidefinite")
-            op.setflags(write=False)
-            ops.append(op)
-        total = ops[0] + ops[1] + ops[2]
-        if np.max(np.abs(total - np.eye(2))) > _POVM_SUM_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "g1", ops[0])
-        object.__setattr__(self, "g2", ops[1])
-        object.__setattr__(self, "g3", ops[2])
-
-    @property
-    def elements(self) -> tuple:
-        return (self.g1, self.g2, self.g3)
 
 
 def _projectors(amps: np.ndarray) -> np.ndarray:
@@ -126,21 +80,14 @@ def _signals(varthetas) -> np.ndarray:
 
 
 def _povm_arrays(u_amps: np.ndarray, v_amps: np.ndarray) -> np.ndarray:
-    """Elements (..., 3, 2, 2) of Bob's POVM for signal amplitudes (..., 2)."""
+    """Elements (..., 3, 2, 2) of Bob's POVM for signal amplitudes (..., 2);
+    complete and positive semidefinite for every vartheta in (0, pi/2],
+    pi/2 included, where the two signals coincide."""
     s = np.einsum("...i,...i->...", u_amps.conj(), v_amps).real[..., None, None]
     eye = np.eye(2, dtype=np.complex128)
     g1 = (eye - _projectors(u_amps)) / (1.0 + s)
     g2 = (eye - _projectors(v_amps)) / (1.0 + s)
     return np.stack([g1, g2, eye - g1 - g2], axis=-3)
-
-
-def povm(pair: B92Pair) -> POVMTriple:
-    """Bob's discrimination POVM for the pair; undefined at <u|v> = 1."""
-    u_amps = pair.u.amplitudes
-    v_amps = pair.v.amplitudes
-    if np.vdot(u_amps, v_amps).real >= 1.0 - 1e-12:
-        raise ValueError("signal states coincide (<u|v> = 1); no POVM discriminates them")
-    return POVMTriple(*_povm_arrays(u_amps, v_amps))
 
 
 def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -158,13 +105,6 @@ def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
     if np.any(off):
         raise ValueError(f"outcome probabilities sum to {total[off].flat[0]}, not 1")
     return np.clip(probs, 0.0, 1.0)
-
-
-def outcome_probs(ops: POVMTriple, rho: DensityMatrix) -> tuple:
-    """Probabilities (p1, p2, p3) of the three outcomes on a qubit state."""
-    if rho.dims != (2,):
-        raise ValueError(f"outcome_probs needs a single-qubit state, dims {rho.dims}")
-    return tuple(float(p) for p in _probabilities(np.stack(ops.elements), rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -211,7 +151,7 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
 def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
     """Eve's mutual information and Bob's discrepancy for a cloning attack
     at one vartheta (see _attack for the conventions)."""
-    pair = b92_pair(vartheta)
+    pair = B92Pair(vartheta)
     probs, info, disc = _attack(spec, np.array([pair.vartheta]))
     return AttackAnalysis(
         machine_name=spec.name or spec.variant,
@@ -265,17 +205,17 @@ class ProtocolRun:
         return render_records_text(self.records())
 
 
-def simulate_protocol(spec: CloningSpec | None, vartheta: float, n: int,
+def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
                       seed: int) -> ProtocolRun:
-    """Run n seeded trials of the protocol, optionally under attack.
+    """Run n seeded trials of the protocol under a cloning attack.
 
-    Per trial: Alice draws a uniform bit (0 -> u, 1 -> v); with a machine
-    configured, the state is cloned and one copy's marginal goes to Bob;
-    Bob samples a POVM outcome from its exact distribution. G1 decodes as
-    bit 1, G2 as bit 0, G3 is inconclusive. An error is a conclusive
-    outcome decoding to the wrong bit. The seed must lie in [0, 2**64), the
-    range of the RNG's seed word, so that no two reported seeds give the
-    same run.
+    Per trial: Alice draws a uniform bit (0 -> u, 1 -> v); the state is
+    cloned by spec and one copy's marginal goes to Bob (the ideal channel,
+    channel_spec(1.0), leaves the signal untouched); Bob samples a POVM
+    outcome from its exact distribution. G1 decodes as bit 1, G2 as bit 0,
+    G3 is inconclusive. An error is a conclusive outcome decoding to the
+    wrong bit. The seed must lie in [0, 2**64), the range of the RNG's seed
+    word, so that no two reported seeds give the same run.
     """
     n = int(n)
     if n < 1:
@@ -283,9 +223,9 @@ def simulate_protocol(spec: CloningSpec | None, vartheta: float, n: int,
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    signals = _signals(b92_pair(vartheta).vartheta)
-    received = _projectors(signals) if spec is None else marginals(spec, signals)
-    prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]), received)
+    signals = _signals(B92Pair(vartheta).vartheta)
+    prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]),
+                               marginals(spec, signals))
     cums = np.cumsum(prob_rows, axis=1)[:, :2]  # G1 and G1+G2 thresholds per state
 
     n_conc = n_err = 0

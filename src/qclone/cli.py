@@ -14,8 +14,9 @@ fidelity, b92 analyze and b92 simulate also take --degrees (angle flags in
 degrees). Table cells are floats in textio's 12-digit form. Machine
 arguments take a built-in name (meridional, wootters-zurek, universal,
 equatorial, ideal) or a spec-file path; `b92 simulate` also accepts `none`
-for an untouched channel. Exit status: 0 success, 1 unreadable or invalid
-machine file (and `validate` on a failing spec), 2 usage or domain errors.
+for an untouched channel (the ideal channel, F = 1). Exit status: 0
+success, 1 unreadable or invalid machine file (and `validate` on a failing
+spec), 2 usage or domain errors.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _read_spec(path: str):
 
 def _resolve_machine(token: str, allow_none: bool = False):
     if allow_none and token == "none":
-        return None
+        return machines.channel_spec(1.0, "none")
     if token in machines.BUILTIN_MACHINES:
         return machines.builtin_spec(token)
     spec = _read_spec(token)
@@ -148,7 +149,7 @@ def _cmd_validate(args):
     report = machines.validate_unitarity(spec)
     items.append(("apparatus_dim", spec.apparatus_dim))
     items += [(f"residual_{k}", v) for k, v in report.residuals.items()]
-    items += [("tolerance", report.tolerance),
+    items += [("tolerance", machines.UNITARITY_TOL),
               ("passed", "true" if report.passed else "false")]
     return items, 0 if report.passed else 1
 

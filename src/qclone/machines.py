@@ -78,6 +78,7 @@ from .qcore import (
 )
 
 UNITARITY_TOL = 1e-10
+JOINT_NORM_TOL = 1e-8  # largest |joint output norm - 1| clone and marginals accept
 FEASIBILITY_TOL = 1e-12  # boundary read-backs land ~1e-16 outside the region
 
 UNIVERSAL_FIDELITY = 5.0 / 6.0
@@ -241,11 +242,11 @@ class ValidationReport:
     """Named unitarity residuals of an explicit spec."""
 
     residuals: dict
-    tolerance: float = UNITARITY_TOL
 
     @property
     def passed(self) -> bool:
-        return all(abs(r) <= self.tolerance for r in self.residuals.values())
+        """Whether every residual magnitude is within UNITARITY_TOL."""
+        return all(abs(r) <= UNITARITY_TOL for r in self.residuals.values())
 
 
 def validate_unitarity(spec: CloningSpec) -> ValidationReport:
@@ -254,7 +255,7 @@ def validate_unitarity(spec: CloningSpec) -> ValidationReport:
     Reports the two row-norm sums <Qi|Qi> + 2 <Yi|Yi> - 1, the
     Y-orthogonality |<Y0|Y1>| that the cross terms between the two basis
     rules require to vanish, and the equal-Y-norm invariant. Passes iff all
-    magnitudes are <= 1e-10.
+    magnitudes are <= UNITARITY_TOL.
     """
     if spec.variant != "explicit":
         raise ValueError("validate_unitarity applies to explicit specs only")
@@ -408,7 +409,7 @@ def clone(spec: CloningSpec, state: PureQubit) -> CloneOutput:
     joint[1, 0] = cross
     amps = joint.reshape(-1)
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > JOINT_NORM_TOL:
         raise ValueError(f"joint output norm {norm} is far from 1; spec is invalid")
     vec = StateVector((2, 2, d), amps / norm)
     rho_full = to_density(vec)
@@ -433,11 +434,11 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
     given as amplitude stacks (..., 2), such as bloch_amplitudes returns.
 
     Explicit variant: the Gram formulas of the module docstring, after one
-    unitarity validation of the spec and the same joint-norm check (1e-8) as
-    clone(). Channel variant: F |s><s| + (1-F) |s_perp><s_perp|. Every
-    result passes the DensityMatrix checks (finite, unit trace, eigenvalues
-    in [0, 1]) or a ValueError is raised; entries agree with
-    clone(spec, state).rho_a to rounding.
+    unitarity validation of the spec and the same joint-norm check
+    (JOINT_NORM_TOL) as clone(). Channel variant:
+    F |s><s| + (1-F) |s_perp><s_perp|. Every result passes the DensityMatrix
+    checks (finite, unit trace, eigenvalues in [0, 1]) or a ValueError is
+    raised; entries agree with clone(spec, state).rho_a to rounding.
     """
     s = np.asarray(amps, dtype=np.complex128)
     if s.shape[-1:] != (2,):
@@ -460,7 +461,7 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
         r01 = (alpha * (alpha.conj() * g[2, 0] + beta.conj() * g[3, 0])
                + beta.conj() * (alpha * g[1, 2] + beta * g[1, 3]))
         norm2 = r00 + r11
-        far = ~(np.abs(np.sqrt(norm2) - 1.0) <= 1e-8)  # NaN counts as far
+        far = ~(np.abs(np.sqrt(norm2) - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
         if np.any(far):
             raise ValueError(f"joint output norm {np.sqrt(norm2[far].flat[0])} is far "
                              "from 1; spec is invalid")

@@ -96,11 +96,6 @@ def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
     return amps
 
 
-def bloch_state(theta: float, phi: float = 0.0) -> PureQubit:
-    """Pure qubit at Bloch angles (theta, phi)."""
-    return PureQubit(theta, phi)
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized state vector over subsystems of the given dimensions."""
@@ -152,33 +147,10 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-def ket(state: PureQubit) -> StateVector:
-    """StateVector view of a pure qubit."""
-    return StateVector((2,), state.amplitudes)
-
-
-def pure_density(state: PureQubit) -> DensityMatrix:
-    """Rank-1 projector |s><s| of a pure qubit."""
-    a = state.amplitudes
-    return DensityMatrix((2,), np.outer(a, a.conj()))
-
-
 def to_density(vec: StateVector) -> DensityMatrix:
     """Rank-1 projector of a multi-subsystem state vector."""
     a = vec.amplitudes
     return DensityMatrix(vec.dims, np.outer(a, a.conj()))
-
-
-def tensor(a, b):
-    """Kronecker product of two StateVectors or two DensityMatrices.
-
-    Subsystem order is a-then-b; dims concatenate.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dims + b.dims, np.kron(a.matrix, b.matrix))
-    raise ValueError("tensor operands must both be StateVector or both DensityMatrix")
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

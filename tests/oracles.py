@@ -125,10 +125,16 @@ def clone_meridional_bruteforce(theta, phi=0.0):
 
 # --- information chain -----------------------------------------------------
 
-def povm_elements(vartheta):
-    """B92 discrimination operators from plain trig, no package code."""
+def signal_states(vartheta):
+    """B92 signal amplitudes u and v from plain trig, no package code."""
     u = np.array([np.cos(vartheta / 2.0), np.sin(vartheta / 2.0)])
     v = np.array([np.sin(vartheta / 2.0), np.cos(vartheta / 2.0)])
+    return u, v
+
+
+def povm_elements(vartheta):
+    """B92 discrimination operators from plain trig, no package code."""
+    u, v = signal_states(vartheta)
     s = float(u @ v)
     g1 = (np.eye(2) - np.outer(u, u)) / (1.0 + s)
     g2 = (np.eye(2) - np.outer(v, v)) / (1.0 + s)
@@ -156,8 +162,7 @@ def eavesdropping_oracle_meridional(vartheta):
     p_v = [float(np.trace(op @ rho_v).real) for op in ops]
     info = mutual_information_from_tables(p_u, p_v)
 
-    u = np.array([np.cos(vartheta / 2.0), np.sin(vartheta / 2.0)])
-    v = np.array([np.sin(vartheta / 2.0), np.cos(vartheta / 2.0)])
+    u, v = signal_states(vartheta)
     d_u = 1.0 - float((u @ rho_u @ u).real)
     d_v = 1.0 - float((v @ rho_v @ v).real)
     return info, max(d_u, d_v)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qclone.b92 import attack_analysis, b92_pair, info_curve, outcome_probs, povm, simulate_protocol
+from qclone import b92
+from qclone.b92 import attack_analysis, info_curve, simulate_protocol
 from qclone.machines import (
     BHParams,
     builtin_spec,
@@ -28,7 +29,7 @@ from qclone.optimizer import (
     average_fidelity,
     optimize_equal_fidelity,
 )
-from qclone.qcore import bloch_state, fidelity, pure_density
+from qclone.qcore import PureQubit, fidelity
 
 import oracles
 
@@ -107,7 +108,7 @@ def test_criterion_04_simulation_equals_closed_forms():
         done += 1
         theta = rng.uniform(0.0, np.pi)
         phi = 0.0 if rng.uniform() < 0.5 else np.pi
-        got = clone(synthesize(p), bloch_state(theta, phi)).rho_a.matrix
+        got = clone(synthesize(p), PureQubit(theta, phi)).rho_a.matrix
         want = reduced_output_closed_form(p, theta, phi)
         if np.max(np.abs(got - want)) > 1e-10:
             ok = False
@@ -116,7 +117,7 @@ def test_criterion_04_simulation_equals_closed_forms():
     for _ in range(200):
         theta = rng.uniform(0.0, np.pi)
         phi = rng.uniform(0.0, 2 * np.pi)
-        s = bloch_state(theta, phi)
+        s = PureQubit(theta, phi)
         f_sim = fidelity(s, clone(spec, s).rho_a)
         if abs(f_sim - fidelity_closed_form(BHParams(0.1, 0.4, 0.4), theta, phi)) > 1e-10:
             ok = False
@@ -177,12 +178,14 @@ def test_criterion_07_information_curve_ordering():
 def test_criterion_08_povm_suite():
     ok = True
     for vt in np.linspace(1e-3, np.pi / 2 - 1e-3, 500):
-        pair = b92_pair(vt)
-        g = povm(pair)
-        ok = ok and np.max(np.abs(g.g1 + g.g2 + g.g3 - np.eye(2))) <= 1e-12
-        ok = ok and all(np.linalg.eigvalsh(op)[0] >= -1e-12 for op in g.elements)
-        p_u = outcome_probs(g, pure_density(pair.u))
-        p_v = outcome_probs(g, pure_density(pair.v))
+        u_amps, v_amps = b92._signals(vt)
+        g = b92._povm_arrays(u_amps, v_amps)
+        ok = ok and np.max(np.abs(g - np.stack(oracles.povm_elements(vt)))) <= 1e-12
+        ok = ok and np.max(np.abs(g[0] + g[1] + g[2] - np.eye(2))) <= 1e-12
+        ok = ok and all(np.linalg.eigvalsh(op)[0] >= -1e-12 for op in g)
+        u, v = oracles.signal_states(vt)
+        p_u, p_v = b92._probabilities(g, np.stack([np.outer(u, u.conj()),
+                                                   np.outer(v, v.conj())]))
         ok = ok and abs(p_u[0]) <= 1e-12 and abs(p_v[1]) <= 1e-12
         ok = ok and abs(p_u[0] + p_u[1] - (1 - np.sin(vt))) <= 1e-12
         ok = ok and abs(p_v[0] + p_v[1] - (1 - np.sin(vt))) <= 1e-12

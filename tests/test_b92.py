@@ -4,57 +4,58 @@ import numpy as np
 import pytest
 
 from qclone import b92
-from qclone.b92 import (
-    attack_analysis,
-    b92_pair,
-    info_curve,
-    outcome_probs,
-    povm,
-    simulate_protocol,
-)
+from qclone.b92 import B92Pair, attack_analysis, info_curve, simulate_protocol
 from qclone.machines import BHParams, builtin_spec, clone, meridional_spec, synthesize
-from qclone.qcore import fidelity, pure_density
+from qclone.qcore import PureQubit, fidelity
 
 import oracles
 
 EQUATORIAL_D = 0.5 - np.sqrt(1.0 / 8.0)
 
 
+def _povm(vt):
+    """Bob's POVM elements (3, 2, 2) at vartheta, from the package's signals."""
+    u, v = b92._signals(vt)
+    return b92._povm_arrays(u, v)
+
+
+def _oracle_probs(vt, rho):
+    """Tr(G_mu rho) for the oracle's POVM elements."""
+    return [float(np.trace(op @ rho).real) for op in oracles.povm_elements(vt)]
+
+
 def test_pair_states_and_overlap():
-    pair = b92_pair(0.6)
-    u = pair.u.amplitudes
-    v = pair.v.amplitudes
+    u, v = b92._signals(0.6)
     assert u[0].real == pytest.approx(np.cos(0.3), abs=1e-15)
     assert v[0].real == pytest.approx(np.sin(0.3), abs=1e-15)
     assert np.vdot(u, v).real == pytest.approx(np.sin(0.6), abs=1e-14)
-    assert pair.overlap == pytest.approx(np.sin(0.6) ** 2, abs=1e-15)
+    np.testing.assert_allclose(np.stack([u, v]), oracles.signal_states(0.6), atol=1e-15)
+    assert B92Pair(0.6).overlap == pytest.approx(np.sin(0.6) ** 2, abs=1e-15)
 
 
 def test_pair_domain():
-    b92_pair(np.pi / 2)  # included endpoint
+    B92Pair(np.pi / 2)  # included endpoint
     with pytest.raises(ValueError):
-        b92_pair(0.0)
+        B92Pair(0.0)
     with pytest.raises(ValueError):
-        b92_pair(np.pi / 2 + 1e-9)
+        B92Pair(np.pi / 2 + 1e-9)
     with pytest.raises(ValueError):
-        b92_pair(-0.3)
+        B92Pair(-0.3)
 
 
 def test_povm_completeness_positivity_grid():
     for vt in np.linspace(0.01, np.pi / 2 - 0.01, 50):
-        g = povm(b92_pair(vt))
-        total = g.g1 + g.g2 + g.g3
-        assert np.max(np.abs(total - np.eye(2))) <= 1e-12
-        for op in g.elements:
+        g = _povm(vt)
+        assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-12
+        for op in g:
             assert np.linalg.eigvalsh(op)[0] >= -1e-12
 
 
 def test_povm_conclusive_outcomes_never_lie():
     for vt in np.linspace(0.05, np.pi / 2 - 0.05, 25):
-        pair = b92_pair(vt)
-        g = povm(pair)
-        p_u = outcome_probs(g, pure_density(pair.u))
-        p_v = outcome_probs(g, pure_density(pair.v))
+        u, v = oracles.signal_states(vt)
+        p_u, p_v = b92._probabilities(_povm(vt), np.stack([np.outer(u, u.conj()),
+                                                            np.outer(v, v.conj())]))
         assert abs(p_u[0]) <= 1e-14   # G1 flags v, never fires on u
         assert abs(p_v[1]) <= 1e-14   # G2 flags u, never fires on v
         # conclusive probability on intact states is 1 - sin(vartheta)
@@ -63,22 +64,17 @@ def test_povm_conclusive_outcomes_never_lie():
 
 
 def test_povm_matches_oracle_elements():
-    g = povm(b92_pair(0.9))
-    o1, o2, o3 = oracles.povm_elements(0.9)
-    np.testing.assert_allclose(g.g1, o1, atol=1e-14)
-    np.testing.assert_allclose(g.g2, o2, atol=1e-14)
-    np.testing.assert_allclose(g.g3, o3, atol=1e-14)
-
-
-def test_povm_undefined_for_coinciding_states():
-    with pytest.raises(ValueError):
-        povm(b92_pair(np.pi / 2))
+    np.testing.assert_allclose(_povm(0.9), np.stack(oracles.povm_elements(0.9)), atol=1e-14)
 
 
 def test_outcome_probs_validation():
-    g = povm(b92_pair(0.5))
+    g = _povm(0.5)
+    with pytest.raises(ValueError, match="sum to 2"):
+        b92._probabilities(g, np.eye(2))  # trace 2
+    with pytest.raises(ValueError, match="imaginary"):
+        b92._probabilities(g, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
-        outcome_probs(g, pure_density(b92_pair(0.5).u).__class__((2, 2), np.eye(4) / 4))
+        b92._probabilities(g, np.eye(4) / 4)  # a two-qubit state does not broadcast
 
 
 def test_attack_analysis_matches_bruteforce_oracle():
@@ -109,7 +105,6 @@ def test_ideal_machine_gives_full_information_no_disturbance():
     res = attack_analysis(builtin_spec("ideal"), 0.5)
     assert res.discrepancy == pytest.approx(0.0, abs=1e-14)
     # Eve holds a perfect copy, so her information equals Bob's conclusive yield
-    pair = b92_pair(0.5)
     assert res.mutual_information == pytest.approx(1 - np.sin(0.5), abs=1e-12)
 
 
@@ -161,7 +156,7 @@ def test_simulation_deterministic_and_consistent():
 
 
 def test_simulation_no_attack_never_errs():
-    run = simulate_protocol(None, 0.5, 50_000, 7)
+    run = simulate_protocol(builtin_spec("ideal"), 0.5, 50_000, 7)
     assert run.errors == 0
     assert run.empirical_error_rate == 0.0
     # conclusive rate tracks 1 - sin(vartheta)
@@ -171,7 +166,7 @@ def test_simulation_no_attack_never_errs():
 
 
 def test_simulation_golden_serialization():
-    text = simulate_protocol(None, 0.6, 1000, 123).to_text()
+    text = simulate_protocol(builtin_spec("ideal"), 0.6, 1000, 123).to_text()
     assert text == (
         "seed=123\n"
         "n_trials=1000\n"
@@ -194,19 +189,20 @@ def test_simulation_golden_serialization():
 
 
 def test_simulation_domain():
+    ideal = builtin_spec("ideal")
     with pytest.raises(ValueError):
-        simulate_protocol(None, 0.5, 0, 1)
+        simulate_protocol(ideal, 0.5, 0, 1)
     with pytest.raises(ValueError):
-        simulate_protocol(None, 2.0, 100, 1)
+        simulate_protocol(ideal, 2.0, 100, 1)
     # the RNG reduces seeds modulo 2**64, so these would alias 2**64 - 1 and 0
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="seed"):
-            simulate_protocol(None, 0.5, 100, seed)
+            simulate_protocol(ideal, 0.5, 100, seed)
 
 
-@pytest.mark.parametrize("machine", [None, "meridional", "equatorial"])
+@pytest.mark.parametrize("machine", ["ideal", "meridional", "equatorial"])
 def test_simulation_is_partition_invariant(monkeypatch, machine):
-    spec = None if machine is None else builtin_spec(machine)
+    spec = builtin_spec(machine)
     n = 2000
     runs = []
     for chunk in (1, 7, 4096, n):
@@ -238,17 +234,17 @@ ATTACK_SPECS = [meridional_spec(), builtin_spec("wootters-zurek"), builtin_spec(
 
 
 def _reference_attack(spec, vt):
-    """The per-state chain: clone() marginals, outcome_probs, scalar entropy sums."""
-    pair = b92_pair(vt)
-    g = povm(pair)
-    rho_u, rho_v = clone(spec, pair.u).rho_a, clone(spec, pair.v).rho_a
-    p_u, p_v = outcome_probs(g, rho_u), outcome_probs(g, rho_v)
+    """The per-state chain: clone() marginals, the oracle's POVM, scalar
+    entropy sums."""
+    u, v = PureQubit(vt), PureQubit(np.pi - vt)
+    rho_u, rho_v = clone(spec, u).rho_a, clone(spec, v).rho_a
+    p_u, p_v = _oracle_probs(vt, rho_u.matrix), _oracle_probs(vt, rho_v.matrix)
     info = 1.0
     for a, b in zip(p_u, p_v):
         q = 0.5 * (a + b)
         if q > 0.0:
             info += sum(0.5 * x / q * np.log2(0.5 * x / q) for x in (a, b) if x > 0.0) * q
-    disc = max(1.0 - fidelity(pair.u, rho_u), 1.0 - fidelity(pair.v, rho_v))
+    disc = max(1.0 - fidelity(u, rho_u), 1.0 - fidelity(v, rho_v))
     return p_u, p_v, min(max(info, 0.0), 1.0), disc
 
 
@@ -264,19 +260,18 @@ def test_attack_analysis_matches_per_state_reference():
             assert res.discrepancy == pytest.approx(disc, abs=1e-12)
 
 
-def test_batched_outcome_probabilities_sum_to_one_and_match_outcome_probs():
+def test_batched_outcome_probabilities_sum_to_one_and_match_oracle():
     rng = np.random.default_rng(92)
     for vt in rng.uniform(0.01, np.pi / 2 - 0.01, 25):
-        pair = b92_pair(vt)
-        g = povm(pair)
-        states = [pure_density(pair.u), pure_density(pair.v)]
-        states += [clone(spec, pair.u).rho_a for spec in ATTACK_SPECS]
-        mats = np.stack([rho.matrix for rho in states])
-        probs = b92._probabilities(np.stack(g.elements), mats)
+        u, v = oracles.signal_states(vt)
+        states = [np.outer(u, u.conj()), np.outer(v, v.conj())]
+        states += [clone(spec, PureQubit(vt)).rho_a.matrix for spec in ATTACK_SPECS]
+        mats = np.stack(states)
+        probs = b92._probabilities(_povm(vt), mats)
         assert probs.shape == (len(states), 3)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
         for rho, row in zip(states, probs):
-            assert outcome_probs(g, rho) == pytest.approx(tuple(row), abs=1e-15)
+            assert _oracle_probs(vt, rho) == pytest.approx(tuple(row), abs=1e-15)
 
 
 def test_info_curve_equals_per_vartheta_attack_analysis():

@@ -26,7 +26,7 @@ from qclone.machines import (
     wootters_zurek_spec,
 )
 from qclone.optimizer import optimize_average, optimize_equal_fidelity
-from qclone.qcore import bloch_amplitudes, bloch_state, fidelity, pure_density
+from qclone.qcore import PureQubit, bloch_amplitudes, fidelity
 
 
 def _random_feasible(rng, count):
@@ -168,7 +168,7 @@ def test_synthesize_degenerate_zeta_zero():
 # --- cloning ----------------------------------------------------------------
 
 def test_clone_meridional_pole():
-    out = clone(meridional_spec(), bloch_state(0.0))
+    out = clone(meridional_spec(), PureQubit(0.0))
     np.testing.assert_allclose(out.rho_a.matrix, [[0.9, 0.2], [0.2, 0.1]], atol=1e-12)
     np.testing.assert_allclose(out.rho_b.matrix, out.rho_a.matrix, atol=1e-12)
     assert out.joint is not None and out.rho_ab is not None
@@ -178,7 +178,7 @@ def test_clone_meridional_pole():
 def test_clone_symmetry_of_marginals():
     spec = meridional_spec()
     for theta, phi in [(0.3, 0.0), (1.1, 2.2), (2.8, 4.0)]:
-        out = clone(spec, bloch_state(theta, phi))
+        out = clone(spec, PureQubit(theta, phi))
         np.testing.assert_allclose(out.rho_a.matrix, out.rho_b.matrix, atol=1e-12)
 
 
@@ -188,11 +188,11 @@ def test_clone_closed_form_equivalence_random():
         spec = synthesize(p)
         theta = rng.uniform(0.0, np.pi)
         for phi in (0.0, np.pi):
-            got = clone(spec, bloch_state(theta, phi)).rho_a.matrix
+            got = clone(spec, PureQubit(theta, phi)).rho_a.matrix
             want = reduced_output_closed_form(p, theta, phi)
             np.testing.assert_allclose(got, want, atol=1e-10)
-            f_sim = fidelity(bloch_state(theta, phi),
-                             clone(spec, bloch_state(theta, phi)).rho_a)
+            f_sim = fidelity(PureQubit(theta, phi),
+                             clone(spec, PureQubit(theta, phi)).rho_a)
             assert f_sim == pytest.approx(fidelity_closed_form(p, theta, phi), abs=1e-10)
 
 
@@ -201,7 +201,7 @@ def test_clone_rejects_invalid_spec():
     bad = type(base)(variant="explicit", name="broken", apparatus_dim=2,
                      q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y0)
     with pytest.raises(ValueError):
-        clone(bad, bloch_state(1.0))
+        clone(bad, PureQubit(1.0))
 
 
 def test_channel_clone_is_constant_fidelity():
@@ -210,7 +210,7 @@ def test_channel_clone_is_constant_fidelity():
                            ("ideal", 1.0)]:
         spec = builtin_spec(name)
         for theta, phi in [(0.0, 0.0), (1.0, 0.5), (np.pi / 2, np.pi), (3.0, 6.0)]:
-            s = bloch_state(theta, phi)
+            s = PureQubit(theta, phi)
             out = clone(spec, s)
             assert fidelity(s, out.rho_a) == pytest.approx(f_expect, abs=1e-12)
             # output is the stated two-point mixture
@@ -266,7 +266,7 @@ def test_marginals_match_clone_reference():
         got = marginals(spec, amps)
         assert got.shape == (theta.size, 2, 2)
         for t, p, mat in zip(theta, phi, got):
-            want = clone(spec, bloch_state(t, p)).rho_a.matrix
+            want = clone(spec, PureQubit(t, p)).rho_a.matrix
             assert np.max(np.abs(mat - want)) <= 1e-12
 
 
@@ -363,7 +363,7 @@ def test_closed_forms_match_kernel_and_clone_over_the_sphere():
         assert rho.shape == (theta.size, 2, 2) and f.shape == theta.shape
         assert np.max(np.abs(marginals(spec, bloch_amplitudes(theta, phi)) - rho)) <= 1e-12
         for t, ph, rho_i, f_i in zip(theta, phi, rho, f):
-            s = bloch_state(t, ph)
+            s = PureQubit(t, ph)
             ref = clone(spec, s).rho_a
             assert np.max(np.abs(ref.matrix - rho_i)) <= 1e-12
             assert abs(fidelity(s, ref) - f_i) <= 1e-12

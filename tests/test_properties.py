@@ -1,0 +1,89 @@
+"""Invariants checked as properties over drawn inputs rather than at fixed points.
+
+Machines are synthesized from a drawn realizable (zeta, eta, kappa) and then
+have their apparatus vectors turned by a drawn complex unitary, which keeps
+the Gram matrix (so every single-clone figure) and gives the spec complex
+entries. Examples stay few and small so the module runs in a few seconds.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qclone import b92
+from qclone.b92 import attack_analysis
+from qclone.machines import BHParams, CloningSpec, builtin_spec, channel_spec, marginals, synthesize
+from qclone.qcore import bloch_amplitudes, fidelities
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+varthetas = st.floats(0.0, np.pi / 2, exclude_min=True)
+bloch_inputs = st.tuples(  # eight Bloch inputs as (thetas, phis)
+    st.lists(st.floats(0.0, np.pi), min_size=8, max_size=8),
+    st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=8, max_size=8))
+
+
+@st.composite
+def rotated_machines(draw):
+    """A synthesized machine whose apparatus vectors are turned by a random
+    complex unitary: same Gram matrix, complex entries."""
+    zeta = draw(st.floats(0.0, 0.5))
+    radius = 2.0 * np.sqrt(zeta * (1.0 - 2.0 * zeta)) * draw(st.floats(0.0, 1.0))
+    angle = draw(st.floats(0.0, np.pi / 2))
+    base = synthesize(BHParams(zeta, radius * np.cos(angle), radius * np.sin(angle)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = base.apparatus_dim
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    spec = CloningSpec(variant="explicit", name="rotated", apparatus_dim=d,
+                       q0=unitary @ base.q0, q1=unitary @ base.q1,
+                       y0=unitary @ base.y0, y1=unitary @ base.y1)
+    return base, spec
+
+
+@SETTINGS
+@given(varthetas)
+@example(np.pi / 2)
+@example(5e-324)
+def test_povm_is_complete_and_positive(vt):
+    g = b92._povm_arrays(*b92._signals(vt))
+    assert g.shape == (3, 2, 2)
+    assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(g - g.conj().swapaxes(-1, -2))) <= 1e-12
+    assert np.linalg.eigvalsh(g).min() >= -1e-12
+
+
+@SETTINGS
+@given(rotated_machines(), bloch_inputs)
+def test_marginals_are_states_and_depend_only_on_the_gram_matrix(machines, angles):
+    base, spec = machines
+    amps = bloch_amplitudes(*angles)
+    mats = marginals(spec, amps)
+    assert np.max(np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= 1e-12
+    assert np.linalg.eigvalsh(mats).min() >= -1e-12
+    np.testing.assert_allclose(mats, marginals(base, amps), rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(st.one_of(rotated_machines().map(lambda pair: pair[1]),
+                 st.floats(0.5, 1.0).map(channel_spec)),
+       varthetas, bloch_inputs)
+def test_fidelity_information_and_discrepancy_lie_in_the_unit_interval(spec, vt, angles):
+    amps = bloch_amplitudes(*angles)
+    f = fidelities(amps, marginals(spec, amps))
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    res = attack_analysis(spec, vt)
+    assert 0.0 <= res.mutual_information <= 1.0
+    assert 0.0 <= res.discrepancy <= 1.0
+    assert all(0.0 <= p <= 1.0 for pair in res.outcome_probs.values() for p in pair)
+
+
+@SETTINGS
+@given(varthetas)
+@example(np.pi / 2)
+def test_ideal_channel_has_no_disturbance_and_bobs_conclusive_yield(vt):
+    # Eve's copy is perfect, so she learns exactly what Bob's conclusive
+    # outcomes reveal: I = 1 - sin(vartheta), not 1
+    res = attack_analysis(builtin_spec("ideal"), vt)
+    assert res.discrepancy == 0.0
+    assert abs(res.mutual_information - (1.0 - np.sin(vt))) <= 1e-12

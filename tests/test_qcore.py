@@ -6,16 +6,23 @@ from qclone.qcore import (
     PureQubit,
     StateVector,
     bloch_amplitudes,
-    bloch_state,
     check_qubit_densities,
     fidelities,
     fidelity,
-    ket,
     partial_trace,
-    pure_density,
-    tensor,
     to_density,
 )
+
+
+def _projector(state):
+    """|s><s| of a pure qubit as a DensityMatrix."""
+    a = state.amplitudes
+    return DensityMatrix((2,), np.outer(a, a.conj()))
+
+
+def _product(a, b):
+    """The two-qubit product state a (x) b."""
+    return StateVector((2, 2), np.kron(a.amplitudes, b.amplitudes))
 
 
 def test_pole_amplitudes_are_exact():
@@ -40,7 +47,7 @@ def test_pure_qubit_domain():
 
 
 def test_bloch_state_general_point():
-    s = bloch_state(1.2, 0.7)
+    s = PureQubit(1.2, 0.7)
     a, b = s.amplitudes
     assert a == pytest.approx(np.cos(0.6))
     assert b == pytest.approx(np.exp(0.7j) * np.sin(0.6))
@@ -93,14 +100,14 @@ def test_check_qubit_densities_matches_density_matrix_rules():
 
 
 def test_main_circle_branches():
-    east = bloch_state(0.8, 0.0)
-    west = bloch_state(0.8, np.pi)
+    east = PureQubit(0.8, 0.0)
+    west = PureQubit(0.8, np.pi)
     assert east.phi == 0.0
     assert west.phi == np.pi
     assert east.amplitudes[1].real > 0
     assert west.amplitudes[1].real < 0
     with pytest.raises(ValueError):
-        bloch_state(0.8, 2 * np.pi)
+        PureQubit(0.8, 2 * np.pi)
 
 
 def test_state_vector_requires_unit_norm():
@@ -122,21 +129,19 @@ def test_density_matrix_validation():
 
 
 def test_density_matrix_is_write_locked():
-    rho = pure_density(PureQubit(0.3))
+    rho = _projector(PureQubit(0.3))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 5.0
 
 
 def test_tensor_and_partial_trace_product_state():
-    a = ket(PureQubit(0.9, 0.4))
-    b = ket(PureQubit(2.1, 5.0))
-    joint = tensor(a, b)
+    joint = _product(PureQubit(0.9, 0.4), PureQubit(2.1, 5.0))
     assert joint.dims == (2, 2)
     rho = to_density(joint)
     rho_a = partial_trace(rho, (0,))
     rho_b = partial_trace(rho, (1,))
-    np.testing.assert_allclose(rho_a.matrix, pure_density(PureQubit(0.9, 0.4)).matrix, atol=1e-14)
-    np.testing.assert_allclose(rho_b.matrix, pure_density(PureQubit(2.1, 5.0)).matrix, atol=1e-14)
+    np.testing.assert_allclose(rho_a.matrix, _projector(PureQubit(0.9, 0.4)).matrix, atol=1e-14)
+    np.testing.assert_allclose(rho_b.matrix, _projector(PureQubit(2.1, 5.0)).matrix, atol=1e-14)
 
 
 def test_partial_trace_against_loop_reference():
@@ -161,7 +166,7 @@ def test_partial_trace_against_loop_reference():
 
 
 def test_partial_trace_rejects_bad_keep():
-    rho = to_density(tensor(ket(PureQubit(0.1)), ket(PureQubit(0.2))))
+    rho = to_density(_product(PureQubit(0.1), PureQubit(0.2)))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
     with pytest.raises(ValueError):
@@ -171,10 +176,10 @@ def test_partial_trace_rejects_bad_keep():
 def test_fidelity_of_state_with_itself():
     for theta, phi in [(0.0, 0.0), (0.77, 1.3), (np.pi, 0.0), (np.pi / 2, 3.9)]:
         s = PureQubit(theta, phi)
-        assert fidelity(s, pure_density(s)) == pytest.approx(1.0, abs=1e-14)
+        assert fidelity(s, _projector(s)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_orthogonal_states():
     up = PureQubit(0.0)
-    down = pure_density(PureQubit(np.pi))
+    down = _projector(PureQubit(np.pi))
     assert fidelity(up, down) == pytest.approx(0.0, abs=1e-14)
