@@ -242,6 +242,46 @@ def test_simulate_matches_library_and_none_machine():
     assert "machine=none" in res.stdout
 
 
+# Full reports recorded before the fused RNG/outcome kernel. 2*10**6 trials is
+# the benchmark's size; 3 * 2**16 + 5 trials leave a ragged last chunk.
+@pytest.mark.parametrize("argv, text", [
+    (("meridional", "0.7", "2000000", "2024"),
+     "machine=meridional\nvartheta=0.7\nseed=2024\nn_trials=2000000\nconclusive=700455\n"
+     "inconclusive=1299545\nerrors=65724\nconclusive_rate=0.3502275\n"
+     "error_rate=0.0938304387862\n"),
+    (("meridional", "0.7", "2000000", "18446744073709551615"),
+     "machine=meridional\nvartheta=0.7\nseed=18446744073709551615\nn_trials=2000000\n"
+     "conclusive=701396\ninconclusive=1298604\nerrors=65865\nconclusive_rate=0.350698\n"
+     "error_rate=0.093905582581\n"),
+    (("none", "0.7", "2000000", "2024"),
+     "machine=none\nvartheta=0.7\nseed=2024\nn_trials=2000000\nconclusive=710896\n"
+     "inconclusive=1289104\nerrors=0\nconclusive_rate=0.355448\nerror_rate=0\n"),
+    (("none", "0.7", "2000000", "18446744073709551615"),
+     "machine=none\nvartheta=0.7\nseed=18446744073709551615\nn_trials=2000000\n"
+     "conclusive=712025\ninconclusive=1287975\nerrors=0\nconclusive_rate=0.3560125\n"
+     "error_rate=0\n"),
+    (("meridional", "0.7", "196613", "99"),
+     "machine=meridional\nvartheta=0.7\nseed=99\nn_trials=196613\nconclusive=68901\n"
+     "inconclusive=127712\nerrors=6449\nconclusive_rate=0.350439696256\n"
+     "error_rate=0.0935980609861\n"),
+], ids=["meridional-2024", "meridional-max-seed", "none-2024", "none-max-seed",
+        "ragged-chunk"])
+def test_simulate_reports_pinned(capsys, argv, text):
+    machine, vartheta, n, seed = argv
+    assert cli.run(["b92", "simulate", "--machine", machine, "--vartheta", vartheta,
+                    "--n", n, "--seed", seed]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_simulate_csv_report_pinned(capsys):
+    assert cli.run(["b92", "simulate", "--machine", "equatorial", "--vartheta", "1.1",
+                    "--n", "196613", "--seed", "99", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "machine,vartheta,seed,n_trials,conclusive,inconclusive,errors,"
+        "conclusive_rate,error_rate\n"
+        "equatorial,1.1,99,196613,45293,151320,15217,0.230366252486,0.33596803038\n")
+
+
 def test_simulate_seed_outside_64_bits_is_a_usage_error():
     # the RNG reduces seeds modulo 2**64; outside [0, 2**64) the reported seed
     # would name another seed's run
