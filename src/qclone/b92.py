@@ -28,9 +28,11 @@ exact arithmetic).
 
 simulate_protocol runs seeded Monte Carlo trials of the whole exchange,
 sampling POVM outcomes by inverse CDF on their exact probabilities with a
-counter-based RNG (one stream per trial), so runs are reproducible under
-any partition of the trial range; it runs the range in chunks of
-CHUNK_TRIALS trials, so its memory does not grow with the trial count.
+counter-based RNG (one stream key per trial, two draws from it), so runs
+are reproducible under any partition of the trial range; it runs the range
+in chunks of CHUNK_TRIALS trials, so its memory does not grow with the
+trial count. Each chunk compares its outcome draws with the two cumulative
+thresholds of the signal sent, looked up from 2-entry tables.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
 from .textio import render_records_text
 
 _POVM_SUM_TOL = 1e-12
-CHUNK_TRIALS = 1 << 16  # trials simulated per block of variates
+CHUNK_TRIALS = 1 << 15  # trials simulated per block of variates
 
 
 @dataclass(frozen=True)
@@ -226,18 +228,22 @@ def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
     signals = _signals(B92Pair(vartheta).vartheta)
     prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]),
                                marginals(spec, signals))
-    cums = np.cumsum(prob_rows, axis=1)[:, :2]  # G1 and G1+G2 thresholds per state
+    # G1 and G1+G2 thresholds, one entry per signal state (u, v)
+    low, high = np.cumsum(prob_rows, axis=1)[:, :2].T
 
     n_conc = n_err = 0
     for start in range(0, n, CHUNK_TRIALS):
         size = min(CHUNK_TRIALS, n - start)
-        bits = (rng.trial_uniforms(seed, size, draw=0, start=start) >= 0.5).astype(np.intp)
-        pick = rng.trial_uniforms(seed, size, draw=1, start=start)
-        outcome = (pick[:, None] >= cums[bits]).sum(axis=1)  # 0: G1, 1: G2, 2: G3
-        n_conc += int(np.count_nonzero(outcome < 2))
+        send, pick = rng.trial_uniforms(seed, size, (0, 1), start=start)
+        bits = send >= 0.5
+        # the outcome is G1 below the low threshold, G2 up to the high one
+        # and G3 above it
+        conclusive = pick < np.take(high, bits)
+        past_g1 = pick >= np.take(low, bits)
+        n_conc += int(np.count_nonzero(conclusive))
         # G1 decodes as bit 1 and G2 as bit 0, so a conclusive outcome is
-        # wrong exactly when it equals the bit sent
-        n_err += int(np.count_nonzero(outcome == bits))
+        # wrong exactly when it is G2 and bit 1 was sent, or G1 and bit 0
+        n_err += int(np.count_nonzero(conclusive & (past_g1 == bits)))
     return ProtocolRun(
         seed=seed,
         n_trials=n,

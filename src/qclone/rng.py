@@ -11,6 +11,10 @@ where mix64 is the xor-shift/multiply finalizer with constants
 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB. A trial's stream key is output
 `trial` of the seed sequence; draw j within the trial is output j of the
 key's own sequence. Floats take the top 53 bits, uniform on [0, 1).
+
+trial_uniforms derives each trial's key once and serves every requested
+draw slot from it, so k slots cost k + 1 finalizer passes per trial. The
+finalizer runs in place on uint64 buffers the size of the trial range.
 """
 
 from __future__ import annotations
@@ -20,45 +24,74 @@ import numpy as np
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
 _TO_FLOAT = 2.0 ** -53
 
 
-def _mix64(x):
-    """SplitMix64 finalizer on uint64 scalars or arrays (wrapping mod 2^64)."""
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _M1
-        x = (x ^ (x >> np.uint64(27))) * _M2
-        return x ^ (x >> np.uint64(31))
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on the uint64 array x (wrapping mod
+    2^64); tmp is scratch space of x's shape. Returns x."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(x, shift, out=tmp)
+        x ^= tmp
+        x *= mult
+    np.right_shift(x, 31, out=tmp)
+    x ^= tmp
+    return x
+
+
+def _counter(x: np.ndarray, state) -> np.ndarray:
+    """state + (x + 1) * GOLDEN, in place on the uint64 array x of sequence
+    indices (wrapping mod 2^64): the word whose mix64 is output x of the
+    sequence starting at `state`. Returns x."""
+    x += np.uint64(1)
+    x *= GOLDEN
+    x += state
+    return x
 
 
 def _seq_output(state, n):
-    """Output n (0-based) of the SplitMix64 sequence starting at `state`."""
-    with np.errstate(over="ignore"):
-        return _mix64(state + (n + np.uint64(1)) * GOLDEN)
+    """Output n (0-based) of the SplitMix64 sequence starting at the uint64
+    `state`; n is an index or an array of them."""
+    x = _counter(np.array(n, dtype=np.uint64, ndmin=1), np.uint64(state))
+    return _mix64(x, np.empty_like(x)).reshape(np.shape(n))[()]
 
 
 def stream_key(seed: int, trial) -> np.uint64:
     """Per-trial stream key derived from (seed, trial index)."""
-    s = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    t = np.asarray(trial, dtype=np.uint64)
-    return _seq_output(s, t)
+    return _seq_output(int(seed) & _MASK, trial)
 
 
 def uniform(seed: int, trial: int, draw: int) -> float:
     """Scalar uniform variate in [0, 1) for the given (seed, trial, draw)."""
-    key = stream_key(seed, np.uint64(int(trial)))
-    word = _seq_output(key, np.uint64(int(draw)))
+    word = _seq_output(stream_key(seed, int(trial)), int(draw))
     return float(word >> np.uint64(11)) * _TO_FLOAT
 
 
-def trial_uniforms(seed: int, n: int, draw: int, start: int = 0) -> np.ndarray:
-    """Uniform variates in [0, 1), one per trial index start..start+n-1, for
-    one draw slot; any split of a trial range reproduces the whole range."""
+def trial_uniforms(seed: int, n: int, draw, start: int = 0) -> np.ndarray:
+    """Uniform variates in [0, 1) for trial indices start..start+n-1.
+
+    `draw` is one draw slot, giving shape (n,), or a sequence of k slots,
+    giving shape (k, n) with row i for slot draw[i]. Any split of a trial
+    range, and any grouping of slots, reproduces the same values."""
     n, start = int(n), int(start)
     if n < 0:
         raise ValueError(f"trial count must be non-negative, got {n}")
     if start < 0:
         raise ValueError(f"first trial index must be non-negative, got {start}")
-    keys = stream_key(seed, np.arange(start, start + n, dtype=np.uint64))
-    words = _seq_output(keys, np.uint64(int(draw)))
-    return (words >> np.uint64(11)).astype(np.float64) * _TO_FLOAT
+    slots = [int(d) for d in np.atleast_1d(draw).tolist()]
+    if any(d < 0 for d in slots):
+        raise ValueError(f"draw slots must be non-negative, got {draw}")
+    keys = _counter(np.arange(start, start + n, dtype=np.uint64),
+                    np.uint64(int(seed) & _MASK))
+    tmp = np.empty_like(keys)
+    _mix64(keys, tmp)  # output `trial` of the seed's sequence
+    steps = _counter(np.array(slots, dtype=np.uint64), np.uint64(0))
+    words = np.empty((len(slots), n), dtype=np.uint64)
+    for row, step in zip(words, steps):
+        np.add(keys, step, out=row)
+        _mix64(row, tmp)  # output `slot` of the key's sequence
+    words >>= np.uint64(11)  # below 2^53, so exact as int64 and as float64
+    out = words.view(np.int64).astype(np.float64)
+    out *= _TO_FLOAT
+    return out if np.ndim(draw) else out[0]

@@ -202,3 +202,73 @@ def average_optimum_scalar():
     z = float(res.x)
     r = 2.0 * np.sqrt(z * (1.0 - 2.0 * z))
     return z, r / c, r * (4.0 / np.pi) / c, -float(res.fun)
+
+
+# --- cloning attacks and the B92 protocol, one trial at a time -------------
+
+def clone_bruteforce(vectors, alpha, beta):
+    """Single-clone output of the machine with apparatus vectors
+    (Q0, Q1, Y0, Y1) on alpha|0> + beta|1>, via explicit loops over the
+    joint |a b apparatus> amplitudes."""
+    q0, q1, y0, y1 = (np.asarray(v, dtype=complex) for v in vectors)
+    joint = np.zeros((2, 2, len(q0)), dtype=complex)
+    for x in range(len(q0)):
+        joint[0, 0, x] = alpha * q0[x]
+        joint[1, 1, x] = beta * q1[x]
+        joint[0, 1, x] = joint[1, 0, x] = alpha * y0[x] + beta * y1[x]
+    rho_a = np.zeros((2, 2), dtype=complex)
+    for i in range(2):
+        for ip in range(2):
+            for j in range(2):
+                for x in range(len(q0)):
+                    rho_a[i, ip] += joint[i, j, x] * np.conj(joint[ip, j, x])
+    return rho_a / np.trace(rho_a).real
+
+
+def channel_output(fidelity, state):
+    """F |s><s| + (1 - F) |s_perp><s_perp| for a real qubit amplitude pair s."""
+    s = np.asarray(state, dtype=float)
+    s_perp = np.array([-s[1], s[0]])
+    return fidelity * np.outer(s, s) + (1.0 - fidelity) * np.outer(s_perp, s_perp)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state, n):
+    """Output n (0-based) of the SplitMix64 sequence seeded with `state`
+    (Steele, Lea & Flood 2014), in Python integers."""
+    z = (state + (n + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def trial_uniform(seed, trial, draw):
+    """Draw `draw` of trial `trial`: the trial's key is output `trial` of the
+    seed's sequence, the draw is output `draw` of the key's sequence, and its
+    top 53 bits make a float in [0, 1)."""
+    return (splitmix64(splitmix64(seed, trial), draw) >> 11) / 2 ** 53
+
+
+def simulate_b92_reference(rho_u, rho_v, vartheta, n, seed):
+    """(conclusive, errors) of n B92 trials, run one trial at a time.
+
+    Draw 0 picks the bit (>= 1/2 sends v, bit 1); draw 1 picks Bob's outcome
+    by inverse CDF over (G1, G2, G3). G1 decodes as bit 1, G2 as bit 0."""
+    ops = povm_elements(vartheta)
+    tables = [[float(np.trace(op @ rho).real) for op in ops] for rho in (rho_u, rho_v)]
+    conclusive = errors = 0
+    for trial in range(n):
+        bit = 1 if trial_uniform(seed, trial, 0) >= 0.5 else 0
+        p_g1, p_g2, _ = tables[bit]
+        x = trial_uniform(seed, trial, 1)
+        if x < p_g1:
+            decoded = 1
+        elif x < p_g1 + p_g2:
+            decoded = 0
+        else:
+            continue
+        conclusive += 1
+        errors += decoded != bit
+    return conclusive, errors

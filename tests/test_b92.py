@@ -5,7 +5,8 @@ import pytest
 
 from qclone import b92
 from qclone.b92 import B92Pair, attack_analysis, info_curve, simulate_protocol
-from qclone.machines import BHParams, builtin_spec, clone, meridional_spec, synthesize
+from qclone.machines import (BHParams, CloningSpec, builtin_spec, clone, meridional_spec,
+                             synthesize)
 from qclone.qcore import PureQubit, fidelity
 
 import oracles
@@ -224,6 +225,43 @@ def test_simulation_memory_does_not_grow_with_trials():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def _rotated_machine():
+    """A synthesized machine whose apparatus vectors are turned by a complex
+    unitary: the same Gram matrix, complex entries."""
+    base = synthesize(BHParams(0.12, 0.3, 0.25))
+    gen = np.random.default_rng(8)
+    d = base.apparatus_dim
+    unitary, _ = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    return CloningSpec(variant="explicit", name="rotated", apparatus_dim=d,
+                       q0=unitary @ base.q0, q1=unitary @ base.q1,
+                       y0=unitary @ base.y0, y1=unitary @ base.y1)
+
+
+ORACLE_SPECS = {"meridional": meridional_spec(), "equatorial": builtin_spec("equatorial"),
+                "ideal": builtin_spec("ideal"), "rotated": _rotated_machine()}
+
+
+def _oracle_marginals(spec, vt):
+    """Bob's states for the signals u and v, from the oracle's own clone."""
+    signals = oracles.signal_states(vt)
+    if spec.variant == "channel":
+        return [oracles.channel_output(spec.clone_fidelity, s) for s in signals]
+    vectors = (spec.q0, spec.q1, spec.y0, spec.y1)
+    return [oracles.clone_bruteforce(vectors, *s) for s in signals]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("machine", list(ORACLE_SPECS))
+def test_simulation_matches_per_trial_oracle(monkeypatch, machine, seed):
+    spec, vt, n = ORACLE_SPECS[machine], 0.9, 3000
+    want = oracles.simulate_b92_reference(*_oracle_marginals(spec, vt), vt, n, seed)
+    assert want[0] > 0 and (want[1] > 0) == (machine != "ideal")
+    for chunk in (7, 4096):
+        monkeypatch.setattr(b92, "CHUNK_TRIALS", chunk)
+        run = simulate_protocol(spec, vt, n, seed)
+        assert (run.conclusive, run.errors) == want
 
 
 # --- the batched chain against per-state references ---------------------------

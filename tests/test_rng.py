@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclone import rng
+
+import oracles
 
 
 def test_matches_published_splitmix64_outputs():
@@ -68,3 +72,28 @@ def test_uniformity_rough():
 
 def test_distinct_seeds_differ():
     assert rng.trial_uniforms(0, 8, 0).tolist() != rng.trial_uniforms(1, 8, 0).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+def test_matches_python_integer_oracle(seed):
+    start = 2 ** 40 - 3
+    got = rng.trial_uniforms(seed, 6, (2, 0, 1), start=start)
+    want = [[oracles.trial_uniform(seed, start + t, d) for t in range(6)] for d in (2, 0, 1)]
+    assert got.tolist() == want
+    assert rng.uniform(seed, start, 1) == want[2][0]
+    assert int(rng.stream_key(seed, start)) == oracles.splitmix64(seed, start)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 48), n=st.integers(0, 40),
+       slots=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=5))
+def test_multi_slot_call_equals_single_slot_rows(seed, start, n, slots):
+    rows = rng.trial_uniforms(seed, n, slots, start=start)
+    assert rows.shape == (len(slots), n)
+    for row, slot in zip(rows, slots):
+        np.testing.assert_array_equal(row, rng.trial_uniforms(seed, n, slot, start=start))
+
+
+def test_negative_draw_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.trial_uniforms(1, 10, (0, -1))
