@@ -203,12 +203,14 @@ def _cmd_b92_curve(args):
     if not 0.0 < omin < omax < 1.0:
         raise ValueError(
             f"need 0 < --overlap-min < --overlap-max < 1, got {omin} and {omax}")
+    specs = [_resolve_machine(token) for token in tokens]
+    labels = [_machine_label(token, spec) for token, spec in zip(tokens, specs)]
+    repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+    if repeated:
+        raise ValueError(f"--machines gives the column label {repeated[0]!r} to more "
+                         f"than one machine")
     overlaps = np.linspace(omin, omax, args.points)
-    labels, curves = [], []
-    for token in tokens:
-        spec = _resolve_machine(token)
-        labels.append(_machine_label(token, spec))
-        curves.append(b92.info_curve(spec, overlaps))
+    curves = [b92.info_curve(spec, overlaps) for spec in specs]
     header = (["overlap"] + [f"I_{lab}" for lab in labels]
               + [f"D_{lab}" for lab in labels])
     columns = [overlaps] + [c[:, 1] for c in curves] + [c[:, 2] for c in curves]

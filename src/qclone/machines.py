@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,8 @@ class CloningSpec:
     variant 'explicit' carries the four d-vectors (d in {2, 3, 4}); variant
     'channel' carries a single clone fidelity in [1/2, 1] and maps each
     clone marginal to F |s><s| + (1-F) |s_perp><s_perp|. Construction
-    validates types, shapes and ranges (name a string, apparatus_dim an
+    validates types, shapes and ranges (name a string without control
+    characters, which would break a report line, apparatus_dim an
     integer, not a bool, fidelity a real number, not a bool) and raises
     ValueError for anything else; the unitarity equalities are checked by
     validate_unitarity so that near-miss specs can be diagnosed.
@@ -183,6 +185,8 @@ class CloningSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {type(self.name).__name__}")
+        if any(unicodedata.category(ch) == "Cc" for ch in self.name):
+            raise ValueError(f"name must not contain control characters, got {self.name!r}")
         if self.variant == "explicit":
             d = self.apparatus_dim
             if (isinstance(d, bool) or not isinstance(d, numbers.Integral)

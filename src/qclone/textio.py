@@ -5,7 +5,9 @@ Floats carry at most 12 significant digits, positional for magnitudes in
 enough that parse -> re-emit reproduces the same bytes (the nearest double
 to a 12-digit decimal rounds back to that decimal), which keeps committed
 golden files stable across platforms. A table is a float array, so every
-cell is a format_float; records mix ints, floats and strings.
+cell is a format_float; records mix ints, floats and strings. CSV record
+fields are quoted per RFC 4180 only where they hold a comma, a double quote
+or a line break, so plain fields print bare.
 """
 
 from __future__ import annotations
@@ -60,7 +62,13 @@ def render_records_text(items) -> str:
     return "".join(f"{k}={format_value(v)}\n" for k, v in items)
 
 
+def _csv_field(text: str) -> str:
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_records_csv(items) -> str:
-    keys = [k for k, _ in items]
-    vals = [format_value(v) for _, v in items]
+    keys = [_csv_field(k) for k, _ in items]
+    vals = [_csv_field(format_value(v)) for _, v in items]
     return ",".join(keys) + "\n" + ",".join(vals) + "\n"

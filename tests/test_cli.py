@@ -1,14 +1,17 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qclone import cli
-from qclone.machines import meridional_spec, save_spec
+from qclone.machines import channel_spec, meridional_spec, save_spec
 from qclone.textio import format_float
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -219,18 +222,54 @@ def test_csv_roundtrip_reemit_byte_identical():
 
 def test_b92_curve_labels_for_spec_files(tmp_path):
     path = tmp_path / "custom.json"
-    save_spec(meridional_spec(), path)
+    save_spec(replace(meridional_spec(), name="stored"), path)
     res = qclone("b92", "curve", "--machines", f"meridional,{path}",
                  "--overlap-min", "0.2", "--overlap-max", "0.8", "--points", "3")
     assert res.returncode == 0
     header = res.stdout.split("\n")[0].split(",")
     assert header[0] == "overlap"
     assert header[1] == "I_meridional"
-    # the file-based machine reports under its stored name
-    assert header[2] == "I_meridional"
+    # the file-based machine reports under its stored name, not the file's
+    assert header[2] == "I_stored"
     # both columns carry the same physics
     row = res.stdout.split("\n")[1].split(",")
     assert row[1] == row[2] and row[3] == row[4]
+
+
+def test_b92_curve_repeated_labels_exit_2(tmp_path):
+    for name in ("a.json", "b.json"):
+        save_spec(channel_spec(0.9, "eve"), tmp_path / name)
+    curve = ("b92", "curve", "--overlap-min", "0.2", "--overlap-max", "0.8", "--points", "3")
+    for machines in ("meridional,universal,meridional",
+                     f"{tmp_path / 'a.json'},{tmp_path / 'b.json'}"):
+        res = qclone(*curve, "--machines", machines)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_csv_records_quote_separators_and_read_back(tmp_path, capsys):
+    path = tmp_path / "ch,1.json"
+    save_spec(channel_spec(0.9, 'eve, "v2"'), path)
+    for argv in (["b92", "analyze", "--machine", str(path), "--vartheta", "0.5"],
+                 ["b92", "simulate", "--machine", str(path), "--vartheta", "0.5",
+                  "--n", "100", "--seed", "1"],
+                 ["validate", "--spec", str(path)]):
+        assert cli.run([*argv, "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+        assert len(header) == len(row)
+        fields = dict(zip(header, row))
+        assert fields.get("machine", fields.get("name")) in (str(path), 'eve, "v2"')
+
+
+@pytest.mark.parametrize("name", ["x\nmachine=forged", "tab\there", "del\x7f", "\x85"])
+def test_spec_names_with_control_characters_exit_1(tmp_path, name):
+    path = tmp_path / "ctl.json"
+    path.write_text(json.dumps({"name": name, "variant": "channel", "fidelity": 0.9}))
+    for args in (("validate", "--spec", str(path)),
+                 ("b92", "analyze", "--machine", str(path), "--vartheta", "0.5")):
+        res = qclone(*args)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_simulate_matches_library_and_none_machine():

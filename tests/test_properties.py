@@ -3,8 +3,13 @@
 Machines are synthesized from a drawn realizable (zeta, eta, kappa) and then
 have their apparatus vectors turned by a drawn complex unitary, which keeps
 the Gram matrix (so every single-clone figure) and gives the spec complex
-entries. Examples stay few and small so the module runs in a few seconds.
+entries. The same properties are checked on those machines after a round
+trip through a spec file. Examples stay few and small so the module runs in
+a few seconds.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,7 +17,8 @@ from hypothesis import strategies as st
 
 from qclone import b92
 from qclone.b92 import attack_analysis
-from qclone.machines import BHParams, CloningSpec, builtin_spec, channel_spec, marginals, synthesize
+from qclone.machines import (BHParams, CloningSpec, builtin_spec, channel_spec, load_spec,
+                             marginals, save_spec, synthesize)
 from qclone.qcore import bloch_amplitudes, fidelities
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -76,6 +82,34 @@ def test_fidelity_information_and_discrepancy_lie_in_the_unit_interval(spec, vt,
     assert 0.0 <= res.mutual_information <= 1.0
     assert 0.0 <= res.discrepancy <= 1.0
     assert all(0.0 <= p <= 1.0 for pair in res.outcome_probs.values() for p in pair)
+
+
+@SETTINGS
+@given(rotated_machines(), st.floats(0.5, 1.0), varthetas, bloch_inputs)
+def test_spec_files_load_to_machines_with_states_and_unit_interval_figures(
+        machines, channel_fidelity, vt, angles):
+    base, spec = machines
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = []
+        for i, written in enumerate((spec, channel_spec(channel_fidelity, "channel"))):
+            path = Path(tmp) / f"machine{i}.json"
+            save_spec(written, path)
+            loaded.append(load_spec(path))
+    explicit, channel = loaded
+    for attr in ("q0", "q1", "y0", "y1"):
+        np.testing.assert_array_equal(getattr(explicit, attr), getattr(spec, attr))
+    amps = bloch_amplitudes(*angles)
+    mats = marginals(explicit, amps)
+    assert np.max(np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= 1e-12
+    assert np.linalg.eigvalsh(mats).min() >= -1e-12
+    np.testing.assert_allclose(mats, marginals(base, amps), rtol=0, atol=1e-12)
+    for machine in loaded:
+        f = fidelities(amps, marginals(machine, amps))
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        res = attack_analysis(machine, vt)
+        assert 0.0 <= res.mutual_information <= 1.0
+        assert 0.0 <= res.discrepancy <= 1.0
 
 
 @SETTINGS

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.textio import format_float, format_value, render_records_text, render_table
+from qclone.textio import (format_float, format_value, render_records_csv, render_records_text,
+                           render_table)
 
 
 def test_basic_rendering():
@@ -74,3 +75,10 @@ def test_render_table_matches_per_cell_formatting(cells, sep):
     header = [f"c{j}" for j in range(cells.shape[1])]
     lines = [sep.join(header)] + [sep.join(map(format_float, row)) for row in cells.tolist()]
     assert render_table(header, cells, sep) == "\n".join(lines) + "\n"
+
+
+def test_csv_records_quote_only_fields_that_need_it():
+    items = [("plain", "ok"), ("comma", "a,b"), ("quote", 'say "hi"'), ("break", "x\ny"),
+             ("num", 0.5)]
+    assert render_records_csv(items) == (
+        'plain,comma,quote,break,num\nok,"a,b","say ""hi""","x\ny",0.5\n')
