@@ -79,14 +79,14 @@ def trial_uniforms(seed: int, n: int, draw, start: int = 0) -> np.ndarray:
         raise ValueError(f"trial count must be non-negative, got {n}")
     if start < 0:
         raise ValueError(f"first trial index must be non-negative, got {start}")
-    slots = [int(d) for d in np.atleast_1d(draw).tolist()]
-    if any(d < 0 for d in slots):
+    slots = np.atleast_1d(draw)
+    if np.any(slots < 0):
         raise ValueError(f"draw slots must be non-negative, got {draw}")
     keys = _counter(np.arange(start, start + n, dtype=np.uint64),
                     np.uint64(int(seed) & _MASK))
     tmp = np.empty_like(keys)
     _mix64(keys, tmp)  # output `trial` of the seed's sequence
-    steps = _counter(np.array(slots, dtype=np.uint64), np.uint64(0))
+    steps = _counter(slots.astype(np.uint64), np.uint64(0))
     words = np.empty((len(slots), n), dtype=np.uint64)
     for row, step in zip(words, steps):
         np.add(keys, step, out=row)
