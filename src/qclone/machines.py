@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +184,7 @@ class CloningSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {type(self.name).__name__}")
-        if any(unicodedata.category(ch) == "Cc" for ch in self.name):
+        if any(ch < " " or "\x7f" <= ch <= "\x9f" for ch in self.name):  # Unicode Cc
             raise ValueError(f"name must not contain control characters, got {self.name!r}")
         if self.variant == "explicit":
             d = self.apparatus_dim
