@@ -248,17 +248,19 @@ def test_b92_curve_repeated_labels_exit_2(tmp_path):
 
 
 def test_csv_records_quote_separators_and_read_back(tmp_path, capsys):
-    path = tmp_path / "ch,1.json"
-    save_spec(channel_spec(0.9, 'eve, "v2"'), path)
-    for argv in (["b92", "analyze", "--machine", str(path), "--vartheta", "0.5"],
-                 ["b92", "simulate", "--machine", str(path), "--vartheta", "0.5",
-                  "--n", "100", "--seed", "1"],
-                 ["validate", "--spec", str(path)]):
+    path, name = tmp_path / "ch,1.json", 'eve, "v2"'
+    save_spec(channel_spec(0.9, name), path)
+    for argv, expected in (
+            (["b92", "analyze", "--machine", str(path), "--vartheta", "0.5"],
+             {"machine": name}),
+            (["b92", "simulate", "--machine", str(path), "--vartheta", "0.5",
+              "--n", "100", "--seed", "1"], {"machine": str(path)}),
+            (["validate", "--spec", str(path)], {"file": str(path), "name": name})):
         assert cli.run([*argv, "--format", "csv"]) == 0
         header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
         assert len(header) == len(row)
         fields = dict(zip(header, row))
-        assert fields.get("machine", fields.get("name")) in (str(path), 'eve, "v2"')
+        assert {k: fields[k] for k in expected} == expected
 
 
 @pytest.mark.parametrize("name", ["x\nmachine=forged", "tab\there", "del\x7f", "\x85"])

@@ -58,11 +58,8 @@ def test_povm_is_complete_and_positive(vt):
     assert np.linalg.eigvalsh(g).min() >= -1e-12
 
 
-@SETTINGS
-@given(rotated_machines(), bloch_inputs)
-def test_marginals_are_states_and_depend_only_on_the_gram_matrix(machines, angles):
-    base, spec = machines
-    amps = bloch_amplitudes(*angles)
+def _assert_states_of_the_gram_matrix(spec, base, amps):
+    """marginals(spec) are trace-1 PSD states equal to those of `base`."""
     mats = marginals(spec, amps)
     assert np.max(np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
     assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= 1e-12
@@ -70,18 +67,28 @@ def test_marginals_are_states_and_depend_only_on_the_gram_matrix(machines, angle
     np.testing.assert_allclose(mats, marginals(base, amps), rtol=0, atol=1e-12)
 
 
-@SETTINGS
-@given(st.one_of(rotated_machines().map(lambda pair: pair[1]),
-                 st.floats(0.5, 1.0).map(channel_spec)),
-       varthetas, bloch_inputs)
-def test_fidelity_information_and_discrepancy_lie_in_the_unit_interval(spec, vt, angles):
-    amps = bloch_amplitudes(*angles)
+def _assert_figures_in_the_unit_interval(spec, vt, amps):
     f = fidelities(amps, marginals(spec, amps))
     assert np.all((f >= 0.0) & (f <= 1.0))
     res = attack_analysis(spec, vt)
     assert 0.0 <= res.mutual_information <= 1.0
     assert 0.0 <= res.discrepancy <= 1.0
     assert all(0.0 <= p <= 1.0 for pair in res.outcome_probs.values() for p in pair)
+
+
+@SETTINGS
+@given(rotated_machines(), bloch_inputs)
+def test_marginals_are_states_and_depend_only_on_the_gram_matrix(machines, angles):
+    base, spec = machines
+    _assert_states_of_the_gram_matrix(spec, base, bloch_amplitudes(*angles))
+
+
+@SETTINGS
+@given(st.one_of(rotated_machines().map(lambda pair: pair[1]),
+                 st.floats(0.5, 1.0).map(channel_spec)),
+       varthetas, bloch_inputs)
+def test_fidelity_information_and_discrepancy_lie_in_the_unit_interval(spec, vt, angles):
+    _assert_figures_in_the_unit_interval(spec, vt, bloch_amplitudes(*angles))
 
 
 @SETTINGS
@@ -95,21 +102,12 @@ def test_spec_files_load_to_machines_with_states_and_unit_interval_figures(
             path = Path(tmp) / f"machine{i}.json"
             save_spec(written, path)
             loaded.append(load_spec(path))
-    explicit, channel = loaded
     for attr in ("q0", "q1", "y0", "y1"):
-        np.testing.assert_array_equal(getattr(explicit, attr), getattr(spec, attr))
+        np.testing.assert_array_equal(getattr(loaded[0], attr), getattr(spec, attr))
     amps = bloch_amplitudes(*angles)
-    mats = marginals(explicit, amps)
-    assert np.max(np.abs(np.trace(mats, axis1=-2, axis2=-1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) <= 1e-12
-    assert np.linalg.eigvalsh(mats).min() >= -1e-12
-    np.testing.assert_allclose(mats, marginals(base, amps), rtol=0, atol=1e-12)
+    _assert_states_of_the_gram_matrix(loaded[0], base, amps)
     for machine in loaded:
-        f = fidelities(amps, marginals(machine, amps))
-        assert np.all((f >= 0.0) & (f <= 1.0))
-        res = attack_analysis(machine, vt)
-        assert 0.0 <= res.mutual_information <= 1.0
-        assert 0.0 <= res.discrepancy <= 1.0
+        _assert_figures_in_the_unit_interval(machine, vt, amps)
 
 
 @SETTINGS
