@@ -48,7 +48,6 @@ from .optimizer import (
 )
 from .b92 import (
     AttackAnalysis,
-    B92Pair,
     ProtocolRun,
     attack_analysis,
     info_curve,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackAnalysis",
-    "B92Pair",
     "BHParams",
     "BUILTIN_MACHINES",
     "CloneOutput",

@@ -52,22 +52,12 @@ _POVM_SUM_TOL = 1e-12
 CHUNK_TRIALS = 1 << 15  # trials simulated per block of variates
 
 
-@dataclass(frozen=True)
-class B92Pair:
-    """The two signal states at a given vartheta in (0, pi/2]."""
-
-    vartheta: float
-
-    def __post_init__(self):
-        vt = float(self.vartheta)
-        if not np.isfinite(vt) or not 0.0 < vt <= np.pi / 2:
-            raise ValueError(f"vartheta must lie in (0, pi/2], got {vt}")
-        object.__setattr__(self, "vartheta", vt)
-
-    @property
-    def overlap(self) -> float:
-        """O = <u|v>^2 = sin^2(vartheta)."""
-        return float(np.sin(self.vartheta) ** 2)
+def _check_vartheta(vartheta) -> float:
+    """vartheta as a float, if it lies in (0, pi/2]; ValueError otherwise."""
+    vt = float(vartheta)
+    if not np.isfinite(vt) or not 0.0 < vt <= np.pi / 2:
+        raise ValueError(f"vartheta must lie in (0, pi/2], got {vt}")
+    return vt
 
 
 def _projectors(amps: np.ndarray) -> np.ndarray:
@@ -153,11 +143,11 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
 def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
     """Eve's mutual information and Bob's discrepancy for a cloning attack
     at one vartheta (see _attack for the conventions)."""
-    pair = B92Pair(vartheta)
-    probs, info, disc = _attack(spec, np.array([pair.vartheta]))
+    vt = _check_vartheta(vartheta)
+    probs, info, disc = _attack(spec, np.array([vt]))
     return AttackAnalysis(
         machine_name=spec.name or spec.variant,
-        overlap=pair.overlap,
+        overlap=float(np.sin(vt) ** 2),
         mutual_information=float(info[0]),
         discrepancy=float(disc[0]),
         outcome_probs={f"G{mu + 1}": (float(probs[0, 0, mu]), float(probs[0, 1, mu]))
@@ -225,7 +215,7 @@ def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    signals = _signals(B92Pair(vartheta).vartheta)
+    signals = _signals(_check_vartheta(vartheta))
     prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]),
                                marginals(spec, signals))
     # G1 and G1+G2 thresholds, one entry per signal state (u, v)

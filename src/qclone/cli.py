@@ -15,8 +15,9 @@ degrees). Table cells are floats in textio's 12-digit form. Machine
 arguments take a built-in name (meridional, wootters-zurek, universal,
 equatorial, ideal) or a spec-file path; `b92 simulate` also accepts `none`
 for an untouched channel (the ideal channel, F = 1). Exit status: 0
-success, 1 unreadable or invalid machine file (and `validate` on a failing
-spec), 2 usage or domain errors.
+success, 1 unreadable or invalid machine file, or a file path holding a
+control character (and `validate` on a failing spec), 2 usage or domain
+errors, a request too large for memory among them.
 """
 
 from __future__ import annotations
@@ -109,7 +110,11 @@ def _angle(value: float, degrees: bool) -> float:
 
 
 def _read_spec(path: str):
-    """load_spec with its OSError and ValueError turned into SpecFileError."""
+    """load_spec with its OSError and ValueError turned into SpecFileError. A
+    path holding a control character is refused unread, since reports echo
+    the path and it would break a report line."""
+    if machines._has_control(path):
+        raise SpecFileError(f"machine file path {path!r} holds a control character")
     try:
         return machines.load_spec(path)
     except OSError as exc:
@@ -273,20 +278,13 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         text, status = _dispatch(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         _write_output(text, args.out)
-    except OSError as exc:
+    except (SpecFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, MemoryError) as exc:  # a request too large is a usage error
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -158,6 +158,12 @@ def _real(value, what: str) -> float:
         raise ValueError(f"{what} is out of range") from None
 
 
+def _has_control(text: str) -> bool:
+    """Whether text holds a control character (Unicode category Cc), which
+    would break a report line."""
+    return any(ch < " " or "\x7f" <= ch <= "\x9f" for ch in text)
+
+
 @dataclass(frozen=True, eq=False)
 class CloningSpec:
     """A cloning machine: explicit apparatus vectors or a fidelity channel.
@@ -184,7 +190,7 @@ class CloningSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {type(self.name).__name__}")
-        if any(ch < " " or "\x7f" <= ch <= "\x9f" for ch in self.name):  # Unicode Cc
+        if _has_control(self.name):
             raise ValueError(f"name must not contain control characters, got {self.name!r}")
         if self.variant == "explicit":
             d = self.apparatus_dim
@@ -220,12 +226,6 @@ class CloningSpec:
                 raise ValueError("channel spec does not take apparatus_dim")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
-
-    @property
-    def q_overlap(self) -> float:
-        """Derived overlap <Q0|Q1> (real part)."""
-        self._require_explicit("q_overlap")
-        return float(np.vdot(self.q0, self.q1).real)
 
     def bh_params(self) -> BHParams:
         """Extract (zeta, eta, kappa) from the apparatus vectors."""
@@ -354,22 +354,21 @@ def channel_spec(fidelity: float, name: str = "") -> CloningSpec:
     return CloningSpec(variant="channel", name=name, clone_fidelity=fidelity)
 
 
-BUILTIN_MACHINES = ("meridional", "wootters-zurek", "universal", "equatorial", "ideal")
+_BUILTINS = {
+    "meridional": meridional_spec,
+    "wootters-zurek": wootters_zurek_spec,
+    "universal": lambda: channel_spec(UNIVERSAL_FIDELITY, "universal"),
+    "equatorial": lambda: channel_spec(EQUATORIAL_FIDELITY, "equatorial"),
+    "ideal": lambda: channel_spec(1.0, "ideal"),
+}
+BUILTIN_MACHINES = tuple(_BUILTINS)
 
 
 def builtin_spec(name: str) -> CloningSpec:
     """Look up a built-in machine by name."""
-    if name == "meridional":
-        return meridional_spec()
-    if name == "wootters-zurek":
-        return wootters_zurek_spec()
-    if name == "universal":
-        return channel_spec(UNIVERSAL_FIDELITY, "universal")
-    if name == "equatorial":
-        return channel_spec(EQUATORIAL_FIDELITY, "equatorial")
-    if name == "ideal":
-        return channel_spec(1.0, "ideal")
-    raise ValueError(f"unknown machine {name!r}; built-ins: {', '.join(BUILTIN_MACHINES)}")
+    if name not in BUILTIN_MACHINES:
+        raise ValueError(f"unknown machine {name!r}; built-ins: {', '.join(BUILTIN_MACHINES)}")
+    return _BUILTINS[name]()
 
 
 @dataclass(frozen=True, eq=False)

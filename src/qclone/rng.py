@@ -12,9 +12,11 @@ where mix64 is the xor-shift/multiply finalizer with constants
 `trial` of the seed sequence; draw j within the trial is output j of the
 key's own sequence. Floats take the top 53 bits, uniform on [0, 1).
 
-trial_uniforms derives each trial's key once and serves every requested
-draw slot from it, so k slots cost k + 1 finalizer passes per trial. The
-finalizer runs in place on uint64 buffers the size of the trial range.
+trial_uniforms is the module's one entry point. It derives each trial's key
+once and serves every requested draw slot from it, so k slots cost k + 1
+finalizer passes per trial. The finalizer runs in place on uint64 buffers
+the size of the trial range. The test suite checks it against a
+Python-integer SplitMix64 written independently of this module.
 """
 
 from __future__ import annotations
@@ -48,24 +50,6 @@ def _counter(x: np.ndarray, state) -> np.ndarray:
     x *= GOLDEN
     x += state
     return x
-
-
-def _seq_output(state, n):
-    """Output n (0-based) of the SplitMix64 sequence starting at the uint64
-    `state`; n is an index or an array of them."""
-    x = _counter(np.array(n, dtype=np.uint64, ndmin=1), np.uint64(state))
-    return _mix64(x, np.empty_like(x)).reshape(np.shape(n))[()]
-
-
-def stream_key(seed: int, trial) -> np.uint64:
-    """Per-trial stream key derived from (seed, trial index)."""
-    return _seq_output(int(seed) & _MASK, trial)
-
-
-def uniform(seed: int, trial: int, draw: int) -> float:
-    """Scalar uniform variate in [0, 1) for the given (seed, trial, draw)."""
-    word = _seq_output(stream_key(seed, int(trial)), int(draw))
-    return float(word >> np.uint64(11)) * _TO_FLOAT
 
 
 def trial_uniforms(seed: int, n: int, draw, start: int = 0) -> np.ndarray:

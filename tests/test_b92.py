@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qclone import b92
-from qclone.b92 import B92Pair, attack_analysis, info_curve, simulate_protocol
+from qclone.b92 import attack_analysis, info_curve, simulate_protocol
 from qclone.machines import (BHParams, CloningSpec, builtin_spec, clone, meridional_spec,
                              synthesize)
 from qclone.qcore import PureQubit, fidelity
@@ -31,17 +31,16 @@ def test_pair_states_and_overlap():
     assert v[0].real == pytest.approx(np.sin(0.3), abs=1e-15)
     assert np.vdot(u, v).real == pytest.approx(np.sin(0.6), abs=1e-14)
     np.testing.assert_allclose(np.stack([u, v]), oracles.signal_states(0.6), atol=1e-15)
-    assert B92Pair(0.6).overlap == pytest.approx(np.sin(0.6) ** 2, abs=1e-15)
+    overlap = attack_analysis(builtin_spec("ideal"), 0.6).overlap
+    assert overlap == pytest.approx(np.sin(0.6) ** 2, abs=1e-15)
 
 
 def test_pair_domain():
-    B92Pair(np.pi / 2)  # included endpoint
-    with pytest.raises(ValueError):
-        B92Pair(0.0)
-    with pytest.raises(ValueError):
-        B92Pair(np.pi / 2 + 1e-9)
-    with pytest.raises(ValueError):
-        B92Pair(-0.3)
+    ideal = builtin_spec("ideal")
+    attack_analysis(ideal, np.pi / 2)  # included endpoint
+    for vt in (0.0, np.pi / 2 + 1e-9, -0.3):
+        with pytest.raises(ValueError, match=r"vartheta must lie in \(0, pi/2\]"):
+            attack_analysis(ideal, vt)
 
 
 def test_povm_completeness_positivity_grid():

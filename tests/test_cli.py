@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -272,6 +274,38 @@ def test_spec_names_with_control_characters_exit_1(tmp_path, name):
         res = qclone(*args)
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def test_spec_paths_with_control_characters_exit_1(tmp_path):
+    # reports echo the path, so a line break in it would forge a record line
+    path = tmp_path / "a\npassed=true.json"
+    save_spec(meridional_spec(), path)
+    assert path.exists()
+    for args in (("validate", "--spec", str(path)),
+                 ("b92", "simulate", "--machine", str(path), "--vartheta", "0.5",
+                  "--n", "10", "--seed", "1")):
+        res = qclone(*args)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ("scan", "--grid-steps", "3000"),
+    ("fidelity", "--machine", "meridional", "--points", "1000000000"),
+    ("b92", "curve", "--machines", "meridional,universal", "--overlap-min", "0.1",
+     "--overlap-max", "0.9", "--points", "1000000000"),
+], ids=["scan", "fidelity", "b92-curve"])
+def test_requests_too_large_for_memory_exit_2(args):
+    # the child's address space is capped at 2 GiB, so each allocation fails
+    # at once whatever the host's memory
+    res = qclone(*args, preexec_fn=_cap_address_space,
+                 env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_simulate_matches_library_and_none_machine():

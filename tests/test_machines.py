@@ -116,7 +116,7 @@ def test_synthesize_meridional_params():
     assert p.eta == pytest.approx(0.4, abs=1e-12)
     assert p.kappa == pytest.approx(0.4, abs=1e-12)
     # at these parameters the admissible q interval collapses to a point
-    assert spec.q_overlap == pytest.approx(0.8, abs=1e-12)
+    assert np.vdot(spec.q0, spec.q1).real == pytest.approx(0.8, abs=1e-12)
 
 
 def test_synthesize_random_feasible_roundtrip():
@@ -132,7 +132,7 @@ def test_synthesize_random_feasible_roundtrip():
         # midpoint rule for the free overlap
         z, e, k = p.zeta, p.eta, p.kappa
         if z > 0:
-            assert spec.q_overlap == pytest.approx(e * k / (2 * z), abs=1e-10)
+            assert np.vdot(spec.q0, spec.q1).real == pytest.approx(e * k / (2 * z), abs=1e-10)
 
 
 def test_boundary_machines_round_trip_realizable():
