@@ -11,7 +11,6 @@ seeded Monte Carlo simulation.
 from .qcore import (
     DensityMatrix,
     PureQubit,
-    StateVector,
     bloch_amplitudes,
     fidelities,
     fidelity,
@@ -66,7 +65,6 @@ __all__ = [
     "OptimizationResult",
     "ProtocolRun",
     "PureQubit",
-    "StateVector",
     "ValidationReport",
     "attack_analysis",
     "average_fidelity",

@@ -103,7 +103,6 @@ def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
 class AttackAnalysis:
     """Analytic eavesdropping figures for one machine at one vartheta."""
 
-    machine_name: str
     overlap: float
     mutual_information: float
     discrepancy: float
@@ -146,7 +145,6 @@ def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
     vt = _check_vartheta(vartheta)
     probs, info, disc = _attack(spec, np.array([vt]))
     return AttackAnalysis(
-        machine_name=spec.name or spec.variant,
         overlap=float(np.sin(vt) ** 2),
         mutual_information=float(info[0]),
         discrepancy=float(disc[0]),
@@ -168,21 +166,29 @@ def info_curve(spec: CloningSpec, overlaps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProtocolRun:
-    """Tallies of a Monte Carlo protocol run."""
+    """Tallies of a Monte Carlo protocol run; the rates derive from them."""
 
     seed: int
     n_trials: int
     conclusive: int
     inconclusive: int
     errors: int
-    empirical_conclusive_rate: float
-    empirical_error_rate: float
 
     def __post_init__(self):
         if self.conclusive + self.inconclusive != self.n_trials:
             raise ValueError("tallies do not sum to the trial count")
         if self.errors > self.conclusive:
             raise ValueError("more errors than conclusive outcomes")
+
+    @property
+    def empirical_conclusive_rate(self) -> float:
+        """Conclusive outcomes per trial."""
+        return self.conclusive / self.n_trials
+
+    @property
+    def empirical_error_rate(self) -> float:
+        """Errors per conclusive outcome; 0 when there is none."""
+        return (self.errors / self.conclusive) if self.conclusive else 0.0
 
     def records(self) -> list:
         """(key, value) pairs of the tallies, in serialization order."""
@@ -240,6 +246,4 @@ def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
         conclusive=n_conc,
         inconclusive=n - n_conc,
         errors=n_err,
-        empirical_conclusive_rate=n_conc / n,
-        empirical_error_rate=(n_err / n_conc) if n_conc else 0.0,
     )

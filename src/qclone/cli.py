@@ -138,6 +138,9 @@ def _resolve_machine(token: str, allow_none: bool = False):
 
 
 def _machine_label(token: str, spec) -> str:
+    """The machine's name in reports and column labels: a built-in's name,
+    else the spec's name, else the spec file's stem, with every character
+    that is neither alphanumeric nor one of '-_.' replaced by '_'."""
     if token in machines.BUILTIN_MACHINES:
         label = token
     else:
@@ -226,7 +229,7 @@ def _cmd_b92_analyze(args):
     spec = _resolve_machine(args.machine)
     vartheta = _angle(args.vartheta, args.degrees)
     res = b92.attack_analysis(spec, vartheta)
-    items = [("machine", res.machine_name), ("vartheta", vartheta),
+    items = [("machine", _machine_label(args.machine, spec)), ("vartheta", vartheta),
              ("overlap", res.overlap),
              ("mutual_information", res.mutual_information),
              ("discrepancy", res.discrepancy)]
@@ -240,7 +243,8 @@ def _cmd_b92_simulate(args):
     spec = _resolve_machine(args.machine, allow_none=True)
     vartheta = _angle(args.vartheta, args.degrees)
     run = b92.simulate_protocol(spec, vartheta, args.n, args.seed)
-    return [("machine", args.machine), ("vartheta", vartheta)] + run.records(), 0
+    return [("machine", _machine_label(args.machine, spec)),
+            ("vartheta", vartheta)] + run.records(), 0
 
 
 _TABLES = {"fidelity": _cmd_fidelity, "scan": _cmd_scan, "curve": _cmd_b92_curve}

@@ -47,9 +47,10 @@ With C = alpha Y0 + beta Y1,
 
 each divided by the joint norm^2 = rho_00 + rho_11. marginals() evaluates
 these for a whole batch of inputs at once and is the single-clone kernel
-behind every fidelity curve and every B92 figure; clone() builds the full
-|a b apparatus> state and partial-traces it, and is kept as the reference
-the kernel is tested against.
+behind every fidelity curve and every B92 figure. clone() builds the full
+|a b apparatus> state of one PureQubit and partial-traces it; the tests
+check both against brute-force references in tests/oracles.py, not against
+each other.
 
 The meridional machine is the member at (zeta, eta, kappa) =
 (1/10, 2/5, 2/5); it copies every Eastern-meridian state with fidelity
@@ -70,7 +71,6 @@ import numpy as np
 from .qcore import (
     DensityMatrix,
     PureQubit,
-    StateVector,
     check_bloch_angles,
     check_qubit_densities,
     partial_trace,
@@ -78,7 +78,7 @@ from .qcore import (
 )
 
 UNITARITY_TOL = 1e-10
-JOINT_NORM_TOL = 1e-8  # largest |joint output norm - 1| clone and marginals accept
+JOINT_NORM_TOL = 1e-8  # largest |input amplitude norm - 1| marginals accepts
 FEASIBILITY_TOL = 1e-12  # boundary read-backs land ~1e-16 outside the region
 
 UNIVERSAL_FIDELITY = 5.0 / 6.0
@@ -373,16 +373,10 @@ def builtin_spec(name: str) -> CloningSpec:
 
 @dataclass(frozen=True, eq=False)
 class CloneOutput:
-    """Output of a cloning operation.
-
-    Explicit machines carry the joint (a, b, apparatus) state and the
-    two-qubit reduction; channel machines provide marginals only.
-    """
+    """The two single-clone reduced states of a cloning operation."""
 
     rho_a: DensityMatrix
     rho_b: DensityMatrix
-    joint: StateVector | None = None
-    rho_ab: DensityMatrix | None = None
 
 
 def clone(spec: CloningSpec, state: PureQubit) -> CloneOutput:
@@ -409,18 +403,9 @@ def clone(spec: CloningSpec, state: PureQubit) -> CloneOutput:
     cross = alpha * spec.y0 + beta * spec.y1
     joint[0, 1] = cross
     joint[1, 0] = cross
-    amps = joint.reshape(-1)
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > JOINT_NORM_TOL:
-        raise ValueError(f"joint output norm {norm} is far from 1; spec is invalid")
-    vec = StateVector((2, 2, d), amps / norm)
-    rho_full = to_density(vec)
-    return CloneOutput(
-        rho_a=partial_trace(rho_full, (0,)),
-        rho_b=partial_trace(rho_full, (1,)),
-        joint=vec,
-        rho_ab=partial_trace(rho_full, (0, 1)),
-    )
+    rho_full = to_density((2, 2, d), joint / np.linalg.norm(joint))
+    return CloneOutput(rho_a=partial_trace(rho_full, (0,)),
+                       rho_b=partial_trace(rho_full, (1,)))
 
 
 def _require_unitary(spec: CloningSpec) -> None:
@@ -435,17 +420,23 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
     """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>
     given as amplitude stacks (..., 2), such as bloch_amplitudes returns.
 
-    Explicit variant: the Gram formulas of the module docstring, after one
-    unitarity validation of the spec and the same joint-norm check
-    (JOINT_NORM_TOL) as clone(). Channel variant:
-    F |s><s| + (1-F) |s_perp><s_perp|. Every result passes the DensityMatrix
-    checks (finite, unit trace, eigenvalues in [0, 1]) or a ValueError is
-    raised; entries agree with clone(spec, state).rho_a to rounding.
+    Every amplitude pair must have norm 1 within JOINT_NORM_TOL. Explicit
+    variant: the Gram formulas of the module docstring, after one unitarity
+    validation of the spec. Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
+    Every result passes the DensityMatrix checks (finite, unit trace,
+    eigenvalues in [0, 1]) or a ValueError is raised.
     """
     s = np.asarray(amps, dtype=np.complex128)
     if s.shape[-1:] != (2,):
         raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
     alpha, beta = s[..., 0], s[..., 1]
+    a2 = alpha.real ** 2 + alpha.imag ** 2
+    b2 = beta.real ** 2 + beta.imag ** 2
+    norm = np.sqrt(a2 + b2)
+    far = ~(np.abs(norm - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
+    if np.any(far):
+        raise ValueError(f"input amplitudes {s[far][0]} have norm {norm[far][0]}, "
+                         f"not 1 within {JOINT_NORM_TOL}")
     if spec.variant == "channel":
         f = spec.clone_fidelity
         s_perp = np.stack([-beta.conj(), alpha.conj()], axis=-1)
@@ -455,18 +446,12 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
         _require_unitary(spec)
         vecs = np.stack([spec.q0, spec.q1, spec.y0, spec.y1])
         g = vecs.conj() @ vecs.T  # g[i, j] = <v_i|v_j>, order (Q0, Q1, Y0, Y1)
-        a2 = alpha.real ** 2 + alpha.imag ** 2
-        b2 = beta.real ** 2 + beta.imag ** 2
         cc = a2 * g[2, 2].real + b2 * g[3, 3].real + 2 * (alpha.conj() * beta * g[2, 3]).real
         r00 = a2 * g[0, 0].real + cc
         r11 = b2 * g[1, 1].real + cc
         r01 = (alpha * (alpha.conj() * g[2, 0] + beta.conj() * g[3, 0])
                + beta.conj() * (alpha * g[1, 2] + beta * g[1, 3]))
         norm2 = r00 + r11
-        far = ~(np.abs(np.sqrt(norm2) - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
-        if np.any(far):
-            raise ValueError(f"joint output norm {np.sqrt(norm2[far].flat[0])} is far "
-                             "from 1; spec is invalid")
         mats = np.empty(alpha.shape + (2, 2), dtype=np.complex128)
         mats[..., 0, 0] = r00 / norm2
         mats[..., 0, 1] = r01 / norm2

@@ -5,6 +5,11 @@ apparatus); the apparatus dimension never exceeds 4, so everything is plain
 dense complex128 arithmetic. All values are immutable after construction
 (arrays are write-locked) and all operations are pure functions.
 
+The batched functions (bloch_amplitudes, fidelities, check_qubit_densities)
+work on plain array stacks and are all the clone-marginal kernel and the
+CLI use; PureQubit, DensityMatrix, to_density, partial_trace and fidelity
+are the per-state layer that machines.clone builds on.
+
 Conventions:
     * A pure qubit is parameterized by Bloch angles (theta, phi) with
       amplitudes (cos(theta/2), e^{i phi} sin(theta/2)); the |0> amplitude
@@ -22,19 +27,6 @@ import numpy as np
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
-NORM_TOL = 1e-12
-
-
-def _as_complex_vector(values, length: int | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d amplitude vector, got shape {arr.shape}")
-    if length is not None and arr.size != length:
-        raise ValueError(f"expected {length} amplitudes, got {arr.size}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -97,25 +89,6 @@ def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized state vector over subsystems of the given dimensions."""
-
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"invalid subsystem dimensions {dims}")
-        amps = _as_complex_vector(self.amplitudes, int(np.prod(dims)))
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, trace-1, positive-semidefinite operator."""
 
@@ -147,10 +120,13 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-def to_density(vec: StateVector) -> DensityMatrix:
-    """Rank-1 projector of a multi-subsystem state vector."""
-    a = vec.amplitudes
-    return DensityMatrix(vec.dims, np.outer(a, a.conj()))
+def to_density(dims, amplitudes) -> DensityMatrix:
+    """Rank-1 projector |a><a| of the amplitude vector a over subsystems of
+    the given dimensions. DensityMatrix checks the result, so a vector of
+    the wrong length, with a non-finite entry or whose norm is not 1 (the
+    trace tolerance) is refused with ValueError."""
+    a = np.asarray(amplitudes, dtype=np.complex128)
+    return DensityMatrix(dims, np.outer(a, a.conj()))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

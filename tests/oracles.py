@@ -226,10 +226,26 @@ def clone_bruteforce(vectors, alpha, beta):
 
 
 def channel_output(fidelity, state):
-    """F |s><s| + (1 - F) |s_perp><s_perp| for a real qubit amplitude pair s."""
-    s = np.asarray(state, dtype=float)
-    s_perp = np.array([-s[1], s[0]])
-    return fidelity * np.outer(s, s) + (1.0 - fidelity) * np.outer(s_perp, s_perp)
+    """F |s><s| + (1 - F) |s_perp><s_perp| for a qubit amplitude pair s,
+    with s_perp = (-conj s1, conj s0)."""
+    s = np.asarray(state, dtype=complex)
+    s_perp = np.array([-np.conj(s[1]), np.conj(s[0])])
+    return (fidelity * np.outer(s, s.conj())
+            + (1.0 - fidelity) * np.outer(s_perp, s_perp.conj()))
+
+
+def machine_output(spec, state):
+    """Single-clone output on the amplitude pair `state` of a machine given
+    as data: `variant` 'channel' with `clone_fidelity`, or apparatus vectors
+    `q0`, `q1`, `y0` and `y1`."""
+    if spec.variant == "channel":
+        return channel_output(spec.clone_fidelity, state)
+    return clone_bruteforce((spec.q0, spec.q1, spec.y0, spec.y1), *state)
+
+
+def qubit_amplitudes(theta, phi=0.0):
+    """(cos(theta/2), e^{i phi} sin(theta/2)) from plain trig."""
+    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
 
 
 _MASK64 = (1 << 64) - 1

@@ -5,9 +5,7 @@ import pytest
 
 from qclone import b92
 from qclone.b92 import attack_analysis, info_curve, simulate_protocol
-from qclone.machines import (BHParams, CloningSpec, builtin_spec, clone, meridional_spec,
-                             synthesize)
-from qclone.qcore import PureQubit, fidelity
+from qclone.machines import BHParams, CloningSpec, builtin_spec, meridional_spec, synthesize
 
 import oracles
 
@@ -188,6 +186,17 @@ def test_simulation_golden_serialization():
     )
 
 
+def test_protocol_run_rates_derive_from_tallies():
+    run = b92.ProtocolRun(seed=1, n_trials=10, conclusive=5, inconclusive=5, errors=1)
+    assert (run.empirical_conclusive_rate, run.empirical_error_rate) == (0.5, 0.2)
+    assert run.records()[-2:] == [("conclusive_rate", 0.5), ("error_rate", 0.2)]
+    none = b92.ProtocolRun(seed=1, n_trials=3, conclusive=0, inconclusive=3, errors=0)
+    assert none.empirical_error_rate == 0.0
+    with pytest.raises(TypeError):
+        b92.ProtocolRun(seed=1, n_trials=10, conclusive=5, inconclusive=5, errors=1,
+                        empirical_conclusive_rate=0.9, empirical_error_rate=0.2)
+
+
 def test_simulation_domain():
     ideal = builtin_spec("ideal")
     with pytest.raises(ValueError):
@@ -244,11 +253,7 @@ ORACLE_SPECS = {"meridional": meridional_spec(), "equatorial": builtin_spec("equ
 
 def _oracle_marginals(spec, vt):
     """Bob's states for the signals u and v, from the oracle's own clone."""
-    signals = oracles.signal_states(vt)
-    if spec.variant == "channel":
-        return [oracles.channel_output(spec.clone_fidelity, s) for s in signals]
-    vectors = (spec.q0, spec.q1, spec.y0, spec.y1)
-    return [oracles.clone_bruteforce(vectors, *s) for s in signals]
+    return [oracles.machine_output(spec, s) for s in oracles.signal_states(vt)]
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -271,17 +276,17 @@ ATTACK_SPECS = [meridional_spec(), builtin_spec("wootters-zurek"), builtin_spec(
 
 
 def _reference_attack(spec, vt):
-    """The per-state chain: clone() marginals, the oracle's POVM, scalar
-    entropy sums."""
-    u, v = PureQubit(vt), PureQubit(np.pi - vt)
-    rho_u, rho_v = clone(spec, u).rho_a, clone(spec, v).rho_a
-    p_u, p_v = _oracle_probs(vt, rho_u.matrix), _oracle_probs(vt, rho_v.matrix)
+    """The per-state chain: the oracle's marginals and POVM, scalar entropy
+    sums."""
+    u, v = oracles.signal_states(vt)
+    rho_u, rho_v = _oracle_marginals(spec, vt)
+    p_u, p_v = _oracle_probs(vt, rho_u), _oracle_probs(vt, rho_v)
     info = 1.0
     for a, b in zip(p_u, p_v):
         q = 0.5 * (a + b)
         if q > 0.0:
             info += sum(0.5 * x / q * np.log2(0.5 * x / q) for x in (a, b) if x > 0.0) * q
-    disc = max(1.0 - fidelity(u, rho_u), 1.0 - fidelity(v, rho_v))
+    disc = max(1.0 - (u @ rho_u @ u).real, 1.0 - (v @ rho_v @ v).real)
     return p_u, p_v, min(max(info, 0.0), 1.0), disc
 
 
@@ -302,7 +307,7 @@ def test_batched_outcome_probabilities_sum_to_one_and_match_oracle():
     for vt in rng.uniform(0.01, np.pi / 2 - 0.01, 25):
         u, v = oracles.signal_states(vt)
         states = [np.outer(u, u.conj()), np.outer(v, v.conj())]
-        states += [clone(spec, PureQubit(vt)).rho_a.matrix for spec in ATTACK_SPECS]
+        states += [oracles.machine_output(spec, u) for spec in ATTACK_SPECS]
         mats = np.stack(states)
         probs = b92._probabilities(_povm(vt), mats)
         assert probs.shape == (len(states), 3)

@@ -238,6 +238,21 @@ def test_b92_curve_labels_for_spec_files(tmp_path):
     assert row[1] == row[2] and row[3] == row[4]
 
 
+@pytest.mark.parametrize("name, label", [("", "mystem"), ("stored", "stored"),
+                                         ("my machine", "my_machine")])
+def test_machine_label_is_the_same_in_every_command(tmp_path, capsys, name, label):
+    path = str(tmp_path / "mystem.json")
+    save_spec(replace(meridional_spec(), name=name), path)
+    for argv in (["b92", "analyze", "--machine", path, "--vartheta", "0.5"],
+                 ["b92", "simulate", "--machine", path, "--vartheta", "0.5",
+                  "--n", "10", "--seed", "1"]):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.split("\n")[0] == f"machine={label}"
+    assert cli.run(["b92", "curve", "--machines", path, "--overlap-min", "0.2",
+                    "--overlap-max", "0.8", "--points", "2"]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == f"overlap,I_{label},D_{label}"
+
+
 def test_b92_curve_repeated_labels_exit_2(tmp_path):
     for name in ("a.json", "b.json"):
         save_spec(channel_spec(0.9, "eve"), tmp_path / name)
@@ -254,9 +269,9 @@ def test_csv_records_quote_separators_and_read_back(tmp_path, capsys):
     save_spec(channel_spec(0.9, name), path)
     for argv, expected in (
             (["b92", "analyze", "--machine", str(path), "--vartheta", "0.5"],
-             {"machine": name}),
+             {"machine": "eve___v2_"}),
             (["b92", "simulate", "--machine", str(path), "--vartheta", "0.5",
-              "--n", "100", "--seed", "1"], {"machine": str(path)}),
+              "--n", "100", "--seed", "1"], {"machine": "eve___v2_"}),
             (["validate", "--spec", str(path)], {"file": str(path), "name": name})):
         assert cli.run([*argv, "--format", "csv"]) == 0
         header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))

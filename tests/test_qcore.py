@@ -4,7 +4,6 @@ import pytest
 from qclone.qcore import (
     DensityMatrix,
     PureQubit,
-    StateVector,
     bloch_amplitudes,
     check_qubit_densities,
     fidelities,
@@ -21,8 +20,8 @@ def _projector(state):
 
 
 def _product(a, b):
-    """The two-qubit product state a (x) b."""
-    return StateVector((2, 2), np.kron(a.amplitudes, b.amplitudes))
+    """The density matrix of the two-qubit product state a (x) b."""
+    return to_density((2, 2), np.kron(a.amplitudes, b.amplitudes))
 
 
 def test_pole_amplitudes_are_exact():
@@ -110,12 +109,12 @@ def test_main_circle_branches():
         PureQubit(0.8, 2 * np.pi)
 
 
-def test_state_vector_requires_unit_norm():
-    StateVector((2,), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        StateVector((2,), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        StateVector((2, 2), np.array([1.0, 0.0]))  # wrong length
+def test_to_density_refuses_a_vector_that_is_not_unit():
+    np.testing.assert_array_equal(to_density((2,), np.array([0.0, 1j])).matrix,
+                                  [[0.0, 0.0], [0.0, 1.0]])
+    for dims, amps in (((2,), [1.0, 1.0]), ((2, 2), [1.0, 0.0]), ((2,), [np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            to_density(dims, np.array(amps))
 
 
 def test_density_matrix_validation():
@@ -135,9 +134,8 @@ def test_density_matrix_is_write_locked():
 
 
 def test_tensor_and_partial_trace_product_state():
-    joint = _product(PureQubit(0.9, 0.4), PureQubit(2.1, 5.0))
-    assert joint.dims == (2, 2)
-    rho = to_density(joint)
+    rho = _product(PureQubit(0.9, 0.4), PureQubit(2.1, 5.0))
+    assert rho.dims == (2, 2)
     rho_a = partial_trace(rho, (0,))
     rho_b = partial_trace(rho, (1,))
     np.testing.assert_allclose(rho_a.matrix, _projector(PureQubit(0.9, 0.4)).matrix, atol=1e-14)
@@ -149,8 +147,7 @@ def test_partial_trace_against_loop_reference():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=12) + 1j * rng.normal(size=12)
     amps /= np.linalg.norm(amps)
-    vec = StateVector((2, 2, 3), amps)
-    rho = to_density(vec)
+    rho = to_density((2, 2, 3), amps)
     got = partial_trace(rho, (0, 1)).matrix
 
     psi = amps.reshape(2, 2, 3)
@@ -166,7 +163,7 @@ def test_partial_trace_against_loop_reference():
 
 
 def test_partial_trace_rejects_bad_keep():
-    rho = to_density(_product(PureQubit(0.1), PureQubit(0.2)))
+    rho = _product(PureQubit(0.1), PureQubit(0.2))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
     with pytest.raises(ValueError):
