@@ -6,7 +6,7 @@ Run: python3 demos/fidelity_curves.py
 import numpy as np
 
 from qclone import (
-    PureQubit,
+    bloch_amplitudes,
     clone,
     fidelity,
     fidelity_closed_form,
@@ -23,9 +23,9 @@ p = spec.bh_params()
 print(f"The meridional machine has (zeta, eta, kappa) = "
       f"({p.zeta:.4f}, {p.eta:.4f}, {p.kappa:.4f}).")
 
-out = clone(spec, PureQubit(0.0))
+rho = clone(spec, bloch_amplitudes(0.0))
 print("Cloning |0> gives each copy the mixed state")
-print(np.round(out.rho_a.matrix.real, 6))
+print(np.round(rho.matrix.real, 6))
 print()
 
 print("Fidelity along the Eastern meridian (phi = 0) stays inside [0.90, 0.95]:")
@@ -45,15 +45,16 @@ print("which for this machine is 9/10 - (1/5) sin(theta) (sin(theta) - cos(phi))
 print("The full simulation reproduces it to machine precision:")
 rng = np.random.default_rng(1)
 thetas, phis = rng.uniform(0, np.pi, 500), rng.uniform(0, 2 * np.pi, 500)
-worst = max(abs(fidelity(PureQubit(t, f), clone(spec, PureQubit(t, f)).rho_a) - want)
-            for t, f, want in zip(thetas, phis, fidelity_closed_form(p, thetas, phis)))
-print(f"max |simulation - formula| over 500 random states: {worst:.2e}\n")
+worst = max(abs(fidelity(s, clone(spec, s)) - want)
+            for s, want in zip(bloch_amplitudes(thetas, phis),
+                               fidelity_closed_form(p, thetas, phis)))
+print(f"max |kernel - closed form| over 500 random states: {worst:.2e}\n")
 
 wz = wootters_zurek_spec()
 print("Compare the basis-copying machine (Y = 0): perfect at the poles,")
 print("useless at the equator.")
 for deg in (0, 45, 90):
     theta = np.radians(deg)
-    s = PureQubit(theta)
-    f = fidelity(s, clone(wz, s).rho_a)
+    s = bloch_amplitudes(theta)
+    f = fidelity(s, clone(wz, s))
     print(f"  theta = {deg:>3}d  F = {f:.6f}")

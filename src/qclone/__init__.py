@@ -10,7 +10,6 @@ seeded Monte Carlo simulation.
 
 from .qcore import (
     DensityMatrix,
-    PureQubit,
     bloch_amplitudes,
     fidelities,
     fidelity,
@@ -20,7 +19,6 @@ from .qcore import (
 from .machines import (
     BHParams,
     BUILTIN_MACHINES,
-    CloneOutput,
     CloningSpec,
     ValidationReport,
     builtin_spec,
@@ -59,12 +57,10 @@ __all__ = [
     "AttackAnalysis",
     "BHParams",
     "BUILTIN_MACHINES",
-    "CloneOutput",
     "CloningSpec",
     "DensityMatrix",
     "OptimizationResult",
     "ProtocolRun",
-    "PureQubit",
     "ValidationReport",
     "attack_analysis",
     "average_fidelity",

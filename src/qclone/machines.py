@@ -46,11 +46,11 @@ With C = alpha Y0 + beta Y1,
     rho_01 = <C|alpha Q0> + <beta Q1|C>
 
 each divided by the joint norm^2 = rho_00 + rho_11. marginals() evaluates
-these for a whole batch of inputs at once and is the single-clone kernel
-behind every fidelity curve and every B92 figure. clone() builds the full
-|a b apparatus> state of one PureQubit and partial-traces it; the tests
-check both against brute-force references in tests/oracles.py, not against
-each other.
+these for a whole batch of inputs at once and is the one single-clone
+kernel: every fidelity curve and every B92 figure comes from it, and
+clone() is its view for one amplitude pair as a DensityMatrix. The machine
+is symmetric, so both clones have this same reduced state. The tests check
+the kernel against brute-force references in tests/oracles.py.
 
 The meridional machine is the member at (zeta, eta, kappa) =
 (1/10, 2/5, 2/5); it copies every Eastern-meridian state with fidelity
@@ -68,14 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (
-    DensityMatrix,
-    PureQubit,
-    check_bloch_angles,
-    check_qubit_densities,
-    partial_trace,
-    to_density,
-)
+from .qcore import DensityMatrix, check_bloch_angles, check_qubit_densities
+from .qcore import partial_trace  # noqa: F401  (bench/tracer.py wraps machines.partial_trace)
+from .qcore import to_density  # noqa: F401  (bench/tracer.py wraps machines.to_density)
 
 UNITARITY_TOL = 1e-10
 JOINT_NORM_TOL = 1e-8  # largest |input amplitude norm - 1| marginals accepts
@@ -371,41 +366,11 @@ def builtin_spec(name: str) -> CloningSpec:
     return _BUILTINS[name]()
 
 
-@dataclass(frozen=True, eq=False)
-class CloneOutput:
-    """The two single-clone reduced states of a cloning operation."""
-
-    rho_a: DensityMatrix
-    rho_b: DensityMatrix
-
-
-def clone(spec: CloningSpec, state: PureQubit) -> CloneOutput:
-    """Apply a cloning machine to a pure input qubit.
-
-    Explicit variant: extends the two basis rules linearly, giving the joint
-    pure state alpha (|00> Q0 + (|01>+|10>) Y0) + beta (|11> Q1 +
-    (|01>+|10>) Y1), then reduces by partial trace. Channel variant: applies
-    the constant-fidelity law to each marginal.
-    """
-    alpha, beta = state.amplitudes
-    if spec.variant == "channel":
-        f = spec.clone_fidelity
-        s = state.amplitudes
-        s_perp = np.array([-np.conj(s[1]), np.conj(s[0])])
-        mat = f * np.outer(s, s.conj()) + (1 - f) * np.outer(s_perp, s_perp.conj())
-        rho = DensityMatrix((2,), mat)
-        return CloneOutput(rho_a=rho, rho_b=rho)
-    _require_unitary(spec)
-    d = spec.apparatus_dim
-    joint = np.zeros((2, 2, d), dtype=np.complex128)
-    joint[0, 0] = alpha * spec.q0
-    joint[1, 1] = beta * spec.q1
-    cross = alpha * spec.y0 + beta * spec.y1
-    joint[0, 1] = cross
-    joint[1, 0] = cross
-    rho_full = to_density((2, 2, d), joint / np.linalg.norm(joint))
-    return CloneOutput(rho_a=partial_trace(rho_full, (0,)),
-                       rho_b=partial_trace(rho_full, (1,)))
+def clone(spec: CloningSpec, amps) -> DensityMatrix:
+    """One clone's reduced state for one input amplitude pair, such as
+    bloch_amplitudes(theta, phi) returns: the marginals() result as a
+    DensityMatrix. Both clones share it."""
+    return DensityMatrix((2,), marginals(spec, amps))
 
 
 def _require_unitary(spec: CloningSpec) -> None:
@@ -420,23 +385,26 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
     """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>
     given as amplitude stacks (..., 2), such as bloch_amplitudes returns.
 
-    Every amplitude pair must have norm 1 within JOINT_NORM_TOL. Explicit
-    variant: the Gram formulas of the module docstring, after one unitarity
-    validation of the spec. Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
+    Every amplitude pair must have norm 1 within JOINT_NORM_TOL; a pair
+    further off 1 than rounding (1e-15) is divided by its norm before either
+    variant uses it. Explicit variant: the Gram formulas of the module
+    docstring, after one unitarity validation of the spec. Channel variant:
+    F |s><s| + (1-F) |s_perp><s_perp|.
     Every result passes the DensityMatrix checks (finite, unit trace,
     eigenvalues in [0, 1]) or a ValueError is raised.
     """
     s = np.asarray(amps, dtype=np.complex128)
     if s.shape[-1:] != (2,):
         raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
-    alpha, beta = s[..., 0], s[..., 1]
-    a2 = alpha.real ** 2 + alpha.imag ** 2
-    b2 = beta.real ** 2 + beta.imag ** 2
-    norm = np.sqrt(a2 + b2)
+    norm = np.sqrt(np.sum(s.real ** 2 + s.imag ** 2, axis=-1))
     far = ~(np.abs(norm - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
     if np.any(far):
         raise ValueError(f"input amplitudes {s[far][0]} have norm {norm[far][0]}, "
                          f"not 1 within {JOINT_NORM_TOL}")
+    # pairs already unit to rounding are used as given: dividing them would
+    # only add rounding, enough to move a CLI table in its last printed digit
+    s = np.where((np.abs(norm - 1.0) > 1e-15)[..., None], s / norm[..., None], s)
+    alpha, beta = s[..., 0], s[..., 1]
     if spec.variant == "channel":
         f = spec.clone_fidelity
         s_perp = np.stack([-beta.conj(), alpha.conj()], axis=-1)
@@ -446,6 +414,8 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
         _require_unitary(spec)
         vecs = np.stack([spec.q0, spec.q1, spec.y0, spec.y1])
         g = vecs.conj() @ vecs.T  # g[i, j] = <v_i|v_j>, order (Q0, Q1, Y0, Y1)
+        a2 = alpha.real ** 2 + alpha.imag ** 2
+        b2 = beta.real ** 2 + beta.imag ** 2
         cc = a2 * g[2, 2].real + b2 * g[3, 3].real + 2 * (alpha.conj() * beta * g[2, 3]).real
         r00 = a2 * g[0, 0].real + cc
         r11 = b2 * g[1, 1].real + cc

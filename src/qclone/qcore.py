@@ -1,19 +1,19 @@
 """Dense linear algebra for small Hilbert spaces.
 
-States live over one to three subsystems ordered as (qubit a, qubit b,
-apparatus); the apparatus dimension never exceeds 4, so everything is plain
-dense complex128 arithmetic. All values are immutable after construction
-(arrays are write-locked) and all operations are pure functions.
-
-The batched functions (bloch_amplitudes, fidelities, check_qubit_densities)
-work on plain array stacks and are all the clone-marginal kernel and the
-CLI use; PureQubit, DensityMatrix, to_density, partial_trace and fidelity
-are the per-state layer that machines.clone builds on.
+A pure qubit is its amplitude pair (alpha, beta), and bloch_amplitudes is
+the one way to describe qubits by Bloch angles. The batched functions
+(bloch_amplitudes, fidelities, check_qubit_densities) work on plain array
+stacks and are all the clone-marginal kernel and the CLI use.
+DensityMatrix, to_density, partial_trace and fidelity are the checked
+per-state layer: machines.clone wraps one kernel marginal in a
+DensityMatrix, and fidelity scores one amplitude pair against it. All
+values are immutable after construction (arrays are write-locked) and all
+operations are pure functions.
 
 Conventions:
-    * A pure qubit is parameterized by Bloch angles (theta, phi) with
-      amplitudes (cos(theta/2), e^{i phi} sin(theta/2)); the |0> amplitude
-      is real and non-negative by construction.
+    * Bloch angles (theta, phi) give the amplitudes
+      (cos(theta/2), e^{i phi} sin(theta/2)); the |0> amplitude is real and
+      non-negative by construction.
     * Validation tolerances: Hermiticity and trace 1e-12, positivity -1e-10
       on the minimum eigenvalue.
 """
@@ -27,32 +27,6 @@ import numpy as np
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
-
-
-@dataclass(frozen=True)
-class PureQubit:
-    """Single-qubit pure state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-
-    theta in [0, pi], phi in [0, 2*pi). phi is meaningless at the poles and
-    is normalized to 0 there so equal states compare equal.
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        theta, phi = map(float, check_bloch_angles(float(self.theta), float(self.phi)))
-        if theta == 0.0 or theta == np.pi:
-            phi = 0.0
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Length-2 complex amplitude vector (|0> component first)."""
-        amps = bloch_amplitudes(self.theta, self.phi)
-        amps.setflags(write=False)
-        return amps
 
 
 def check_bloch_angles(theta, phi):
@@ -75,9 +49,9 @@ def check_bloch_angles(theta, phi):
 def bloch_amplitudes(theta, phi=0.0) -> np.ndarray:
     """Amplitudes (..., 2) of the pure qubits at Bloch angles (theta, phi).
 
-    The batched form of PureQubit: theta and phi broadcast against each
-    other and are checked by check_bloch_angles, and the poles give exactly
-    [1, 0] (theta = 0) and [0, 1] (theta = pi) whatever phi is.
+    theta and phi broadcast against each other and are checked by
+    check_bloch_angles, and the poles give exactly [1, 0] (theta = 0) and
+    [0, 1] (theta = pi) whatever phi is.
     """
     theta, phi = check_bloch_angles(theta, phi)
     amps = np.empty(theta.shape + (2,), dtype=np.complex128)
@@ -156,11 +130,18 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(kept_dims, reduced.reshape(size, size))
 
 
-def fidelity(state: PureQubit, rho: DensityMatrix) -> float:
-    """Overlap <s|rho|s> between a pure qubit and a single-qubit mixed state."""
+def fidelity(amps, rho: DensityMatrix) -> float:
+    """Overlap <s|rho|s> between one pure qubit, given as the amplitude pair
+    s that bloch_amplitudes(theta, phi) returns, and a single-qubit mixed
+    state. s must be one finite pair whose squared norm is 1 within
+    TRACE_TOL, the rule to_density applies; anything else is a ValueError."""
+    s = np.asarray(amps, dtype=np.complex128)
+    if s.shape != (2,) or not abs(np.vdot(s, s).real - 1.0) <= TRACE_TOL:  # NaN fails
+        raise ValueError(f"fidelity needs one amplitude pair of squared norm 1 "
+                         f"within {TRACE_TOL}, got {s}")
     if rho.dims != (2,):
         raise ValueError(f"fidelity needs a single-qubit density matrix, dims {rho.dims}")
-    return float(fidelities(state.amplitudes, rho.matrix))
+    return float(fidelities(s, rho.matrix))
 
 
 def fidelities(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -206,10 +206,11 @@ def average_optimum_scalar():
 
 # --- cloning attacks and the B92 protocol, one trial at a time -------------
 
-def clone_bruteforce(vectors, alpha, beta):
-    """Single-clone output of the machine with apparatus vectors
-    (Q0, Q1, Y0, Y1) on alpha|0> + beta|1>, via explicit loops over the
-    joint |a b apparatus> amplitudes."""
+def clone_pair_bruteforce(vectors, alpha, beta):
+    """Both clones' outputs (rho_a, rho_b) of the machine with apparatus
+    vectors (Q0, Q1, Y0, Y1) on alpha|0> + beta|1>, via explicit loops over
+    the joint |a b apparatus> amplitudes: rho_a traces out clone b and the
+    apparatus, rho_b traces out clone a and the apparatus."""
     q0, q1, y0, y1 = (np.asarray(v, dtype=complex) for v in vectors)
     joint = np.zeros((2, 2, len(q0)), dtype=complex)
     for x in range(len(q0)):
@@ -217,12 +218,41 @@ def clone_bruteforce(vectors, alpha, beta):
         joint[1, 1, x] = beta * q1[x]
         joint[0, 1, x] = joint[1, 0, x] = alpha * y0[x] + beta * y1[x]
     rho_a = np.zeros((2, 2), dtype=complex)
+    rho_b = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for ip in range(2):
             for j in range(2):
                 for x in range(len(q0)):
                     rho_a[i, ip] += joint[i, j, x] * np.conj(joint[ip, j, x])
-    return rho_a / np.trace(rho_a).real
+                    rho_b[i, ip] += joint[j, i, x] * np.conj(joint[j, ip, x])
+    return rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real
+
+
+def clone_bruteforce(vectors, alpha, beta):
+    """Clone a's output from clone_pair_bruteforce."""
+    return clone_pair_bruteforce(vectors, alpha, beta)[0]
+
+
+def apparatus_vectors(zeta, eta, kappa):
+    """Apparatus vectors (Q0, Q1, Y0, Y1) in three dimensions realizing a
+    realizable (zeta, eta, kappa), built by hand.
+
+    Y0 = sqrt(z) e1 and Y1 = sqrt(z) e2 are orthogonal with norm z; Q0 and
+    Q1 carry the eta/2 and kappa/2 overlaps with them and a shared e0
+    component r that completes the norm 1 - 2z. r^2 >= 0 is the
+    realizability condition kappa^2 + eta^2 <= 4 z (1 - 2 z); it is clamped
+    at 0 against rounding on the boundary. At zeta = 0 the Y vectors vanish
+    and Q0 = Q1 = e0.
+    """
+    if zeta == 0.0:
+        e0 = np.array([1.0, 0.0, 0.0])
+        return e0, e0, np.zeros(3), np.zeros(3)
+    s = np.sqrt(zeta)
+    r = np.sqrt(max(1.0 - 2.0 * zeta - (kappa ** 2 + eta ** 2) / (4.0 * zeta), 0.0))
+    return (np.array([r, kappa / (2 * s), eta / (2 * s)]),
+            np.array([r, eta / (2 * s), kappa / (2 * s)]),
+            np.array([0.0, s, 0.0]),
+            np.array([0.0, 0.0, s]))
 
 
 def channel_output(fidelity, state):

@@ -26,7 +26,7 @@ from qclone.machines import (
     wootters_zurek_spec,
 )
 from qclone.optimizer import optimize_average, optimize_equal_fidelity
-from qclone.qcore import PureQubit, bloch_amplitudes, fidelity
+from qclone.qcore import bloch_amplitudes, fidelity
 
 import oracles
 
@@ -170,16 +170,25 @@ def test_synthesize_degenerate_zeta_zero():
 # --- cloning ----------------------------------------------------------------
 
 def test_clone_meridional_pole():
-    out = clone(meridional_spec(), PureQubit(0.0))
-    np.testing.assert_allclose(out.rho_a.matrix, [[0.9, 0.2], [0.2, 0.1]], atol=1e-12)
-    np.testing.assert_allclose(out.rho_b.matrix, out.rho_a.matrix, atol=1e-12)
+    rho = clone(meridional_spec(), bloch_amplitudes(0.0))
+    assert rho.dims == (2,)
+    np.testing.assert_allclose(rho.matrix, [[0.9, 0.2], [0.2, 0.1]], atol=1e-12)
 
 
 def test_clone_symmetry_of_marginals():
-    spec = meridional_spec()
-    for theta, phi in [(0.3, 0.0), (1.1, 2.2), (2.8, 4.0)]:
-        out = clone(spec, PureQubit(theta, phi))
-        np.testing.assert_allclose(out.rho_a.matrix, out.rho_b.matrix, atol=1e-12)
+    """Both clones of the brute-force joint state have one reduced state, the
+    one marginals() returns, so the kernel's single marginal stands for
+    either clone."""
+    rng = np.random.default_rng(3)
+    specs = [meridional_spec(), wootters_zurek_spec()]
+    specs += [synthesize(p) for p in _random_feasible(rng, 10)]
+    for spec in specs:
+        for theta, phi in [(0.3, 0.0), (1.1, 2.2), (2.8, 4.0)]:
+            rho_a, rho_b = oracles.clone_pair_bruteforce(
+                (spec.q0, spec.q1, spec.y0, spec.y1), *oracles.qubit_amplitudes(theta, phi))
+            assert np.max(np.abs(rho_a - rho_b)) <= 1e-12
+            got = marginals(spec, bloch_amplitudes(theta, phi))
+            assert np.max(np.abs(got - rho_b)) <= 1e-12
 
 
 def test_clone_closed_form_equivalence_random():
@@ -188,11 +197,11 @@ def test_clone_closed_form_equivalence_random():
         spec = synthesize(p)
         theta = rng.uniform(0.0, np.pi)
         for phi in (0.0, np.pi):
-            got = clone(spec, PureQubit(theta, phi)).rho_a.matrix
+            s = bloch_amplitudes(theta, phi)
+            got = clone(spec, s).matrix
             want = reduced_output_closed_form(p, theta, phi)
             np.testing.assert_allclose(got, want, atol=1e-10)
-            f_sim = fidelity(PureQubit(theta, phi),
-                             clone(spec, PureQubit(theta, phi)).rho_a)
+            f_sim = fidelity(s, clone(spec, s))
             assert f_sim == pytest.approx(fidelity_closed_form(p, theta, phi), abs=1e-10)
 
 
@@ -201,7 +210,7 @@ def test_clone_rejects_invalid_spec():
     bad = type(base)(variant="explicit", name="broken", apparatus_dim=2,
                      q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y0)
     with pytest.raises(ValueError):
-        clone(bad, PureQubit(1.0))
+        clone(bad, bloch_amplitudes(1.0))
 
 
 def test_channel_clone_is_constant_fidelity():
@@ -210,11 +219,11 @@ def test_channel_clone_is_constant_fidelity():
                            ("ideal", 1.0)]:
         spec = builtin_spec(name)
         for theta, phi in [(0.0, 0.0), (1.0, 0.5), (np.pi / 2, np.pi), (3.0, 6.0)]:
-            s = PureQubit(theta, phi)
-            out = clone(spec, s)
-            assert fidelity(s, out.rho_a) == pytest.approx(f_expect, abs=1e-12)
+            s = bloch_amplitudes(theta, phi)
+            rho = clone(spec, s)
+            assert fidelity(s, rho) == pytest.approx(f_expect, abs=1e-12)
             # output is the stated two-point mixture
-            eigs = np.linalg.eigvalsh(out.rho_a.matrix)
+            eigs = np.linalg.eigvalsh(rho.matrix)
             np.testing.assert_allclose(sorted(eigs), sorted([1 - f_expect, f_expect]), atol=1e-12)
 
 
@@ -313,6 +322,20 @@ def test_marginals_reject_one_bad_input_in_a_batch():
         for spec in (meridional_spec(), channel_spec(0.9)):
             with pytest.raises(ValueError):
                 marginals(spec, corrupted)
+
+
+def test_marginals_have_one_input_rule_for_both_variants():
+    """Amplitude norms within JOINT_NORM_TOL (1e-8) of 1 are divided out, for
+    channel and explicit machines alike; norms further off are refused."""
+    amps = bloch_amplitudes(np.array([0.0, 0.7, 2.0, np.pi]), np.array([0.0, 1.0, 4.0, 0.0]))
+    for spec in (builtin_spec("universal"), channel_spec(0.77), builtin_spec("ideal"),
+                 meridional_spec(), synthesize(BHParams(0.12, 0.3, 0.2))):
+        want = marginals(spec, amps)
+        for scale in (1 + 1e-9, 1 - 1e-9):
+            np.testing.assert_allclose(marginals(spec, scale * amps), want, rtol=0, atol=1e-15)
+        for scale in (1 + 1e-7, 1 - 1e-7):
+            with pytest.raises(ValueError, match="input amplitudes"):
+                marginals(spec, scale * amps)
 
 
 def test_marginals_blame_the_amplitudes_not_the_spec():

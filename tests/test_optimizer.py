@@ -60,6 +60,30 @@ def test_equal_fidelity_optimum_is_exact():
     assert (p.zeta, p.eta, p.kappa) == pytest.approx((0.1, 0.4, 0.4), abs=1e-15)
 
 
+def test_no_realizable_machine_beats_the_meridional_worst_case():
+    """The paper's optimality claim, from the oracles alone: on a grid of
+    (zeta, eta, kappa) in steps of (1/40, 1/20, 1/20), no realizable triple
+    copies every Eastern-meridian state with fidelity above 0.90, and only
+    the optimizer's (0.1, 0.4, 0.4) reaches it. Each triple's worst case is
+    taken over theta in 15-degree steps, which can only overstate it."""
+    zi, ei, ki = np.meshgrid(np.arange(21), np.arange(15), np.arange(15), indexing="ij")
+    z, e, k = zi.ravel() / 40, ei.ravel() / 20, ki.ravel() / 20
+    realizable = oracles.gram_feasible_bruteforce(z, e, k)
+    states = [oracles.qubit_amplitudes(t) for t in np.radians(np.arange(0, 181, 15))]
+    worst = {}
+    for triple in zip(z[realizable], e[realizable], k[realizable]):
+        vecs = oracles.apparatus_vectors(*triple)
+        worst[triple] = min(np.vdot(s, oracles.clone_bruteforce(vecs, *s) @ s).real
+                            for s in states)
+    assert len(worst) > 500
+    top = [triple for triple, f in worst.items() if f > 0.9 - 1e-9]
+    assert top == [(0.1, 0.4, 0.4)]
+    assert worst[top[0]] == pytest.approx(0.9, abs=1e-12)
+    res = optimize_equal_fidelity()
+    assert (res.params.zeta, res.params.eta, res.params.kappa) == pytest.approx(top[0], abs=1e-12)
+    assert res.objective == pytest.approx(worst[top[0]], abs=1e-12)
+
+
 def test_average_optimum_matches_scalar_oracle():
     res = optimize_average()
     assert res.mode == "average"

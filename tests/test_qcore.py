@@ -3,7 +3,6 @@ import pytest
 
 from qclone.qcore import (
     DensityMatrix,
-    PureQubit,
     bloch_amplitudes,
     check_qubit_densities,
     fidelities,
@@ -13,41 +12,26 @@ from qclone.qcore import (
 )
 
 
-def _projector(state):
-    """|s><s| of a pure qubit as a DensityMatrix."""
-    a = state.amplitudes
-    return DensityMatrix((2,), np.outer(a, a.conj()))
+def _projector(amps):
+    """|s><s| of a pure qubit's amplitude pair as a DensityMatrix."""
+    return DensityMatrix((2,), np.outer(amps, np.conj(amps)))
 
 
 def _product(a, b):
     """The density matrix of the two-qubit product state a (x) b."""
-    return to_density((2, 2), np.kron(a.amplitudes, b.amplitudes))
+    return to_density((2, 2), np.kron(a, b))
 
 
 def test_pole_amplitudes_are_exact():
-    assert tuple(PureQubit(0.0).amplitudes) == (1.0 + 0.0j, 0.0 + 0.0j)
-    assert tuple(PureQubit(np.pi).amplitudes) == (0.0 + 0.0j, 1.0 + 0.0j)
-    # phase is irrelevant at the poles and gets normalized away
-    assert PureQubit(0.0, 1.3).phi == 0.0
-    assert PureQubit(np.pi, 2.0).phi == 0.0
-
-
-def test_pure_qubit_domain():
-    with pytest.raises(ValueError):
-        PureQubit(-0.1)
-    with pytest.raises(ValueError):
-        PureQubit(np.pi + 0.1)
-    with pytest.raises(ValueError):
-        PureQubit(1.0, -0.5)
-    with pytest.raises(ValueError):
-        PureQubit(1.0, 2 * np.pi)
-    with pytest.raises(ValueError):
-        PureQubit(float("nan"))
+    assert tuple(bloch_amplitudes(0.0)) == (1.0 + 0.0j, 0.0 + 0.0j)
+    assert tuple(bloch_amplitudes(np.pi)) == (0.0 + 0.0j, 1.0 + 0.0j)
+    # the phase is irrelevant at the poles and is dropped
+    assert tuple(bloch_amplitudes(0.0, 1.3)) == (1.0 + 0.0j, 0.0 + 0.0j)
+    assert tuple(bloch_amplitudes(np.pi, 2.0)) == (0.0 + 0.0j, 1.0 + 0.0j)
 
 
 def test_bloch_state_general_point():
-    s = PureQubit(1.2, 0.7)
-    a, b = s.amplitudes
+    a, b = bloch_amplitudes(1.2, 0.7)
     assert a == pytest.approx(np.cos(0.6))
     assert b == pytest.approx(np.exp(0.7j) * np.sin(0.6))
     assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-15)
@@ -62,8 +46,6 @@ def test_bloch_amplitudes_batch_formula_poles_and_domain():
     np.testing.assert_allclose(amps[1:4, 0], np.cos(theta[1:4] / 2), atol=1e-15)
     np.testing.assert_allclose(amps[1:4, 1], np.exp(1j * phi[1:4]) * np.sin(theta[1:4] / 2),
                                atol=1e-15)
-    for t, p, row in zip(theta, phi, amps):
-        assert tuple(PureQubit(t, p).amplitudes) == tuple(row)
     assert bloch_amplitudes(theta, np.array([[0.0], [np.pi]])).shape == (2, 5, 2)
     for bad_theta, bad_phi in ((np.array([0.1, -0.1]), 0.0), (np.pi + 1e-9, 0.0),
                                (1.0, np.array([0.0, 2 * np.pi])), (1.0, -1e-300),
@@ -99,14 +81,11 @@ def test_check_qubit_densities_matches_density_matrix_rules():
 
 
 def test_main_circle_branches():
-    east = PureQubit(0.8, 0.0)
-    west = PureQubit(0.8, np.pi)
-    assert east.phi == 0.0
-    assert west.phi == np.pi
-    assert east.amplitudes[1].real > 0
-    assert west.amplitudes[1].real < 0
+    east, west = bloch_amplitudes(0.8, np.array([0.0, np.pi]))
+    assert east[1].real > 0 and east[1].imag == 0.0
+    assert west[1].real < 0
     with pytest.raises(ValueError):
-        PureQubit(0.8, 2 * np.pi)
+        bloch_amplitudes(0.8, 2 * np.pi)
 
 
 def test_to_density_refuses_a_vector_that_is_not_unit():
@@ -128,18 +107,19 @@ def test_density_matrix_validation():
 
 
 def test_density_matrix_is_write_locked():
-    rho = _projector(PureQubit(0.3))
+    rho = _projector(bloch_amplitudes(0.3))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 5.0
 
 
 def test_tensor_and_partial_trace_product_state():
-    rho = _product(PureQubit(0.9, 0.4), PureQubit(2.1, 5.0))
+    a, b = bloch_amplitudes(np.array([0.9, 2.1]), np.array([0.4, 5.0]))
+    rho = _product(a, b)
     assert rho.dims == (2, 2)
     rho_a = partial_trace(rho, (0,))
     rho_b = partial_trace(rho, (1,))
-    np.testing.assert_allclose(rho_a.matrix, _projector(PureQubit(0.9, 0.4)).matrix, atol=1e-14)
-    np.testing.assert_allclose(rho_b.matrix, _projector(PureQubit(2.1, 5.0)).matrix, atol=1e-14)
+    np.testing.assert_allclose(rho_a.matrix, _projector(a).matrix, atol=1e-14)
+    np.testing.assert_allclose(rho_b.matrix, _projector(b).matrix, atol=1e-14)
 
 
 def test_partial_trace_against_loop_reference():
@@ -163,7 +143,7 @@ def test_partial_trace_against_loop_reference():
 
 
 def test_partial_trace_rejects_bad_keep():
-    rho = _product(PureQubit(0.1), PureQubit(0.2))
+    rho = _product(bloch_amplitudes(0.1), bloch_amplitudes(0.2))
     with pytest.raises(ValueError):
         partial_trace(rho, ())
     with pytest.raises(ValueError):
@@ -172,11 +152,26 @@ def test_partial_trace_rejects_bad_keep():
 
 def test_fidelity_of_state_with_itself():
     for theta, phi in [(0.0, 0.0), (0.77, 1.3), (np.pi, 0.0), (np.pi / 2, 3.9)]:
-        s = PureQubit(theta, phi)
+        s = bloch_amplitudes(theta, phi)
         assert fidelity(s, _projector(s)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fidelity_orthogonal_states():
-    up = PureQubit(0.0)
-    down = _projector(PureQubit(np.pi))
+    up = bloch_amplitudes(0.0)
+    down = _projector(bloch_amplitudes(np.pi))
     assert fidelity(up, down) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_fidelity_takes_one_finite_unit_amplitude_pair():
+    rho = _projector(bloch_amplitudes(1.0, 2.0))
+    assert fidelity([1.0, 0.0], rho) == fidelity(np.array([1.0 + 0j, 0.0]), rho)
+    assert fidelity([1.0 + 4e-13, 0.0], rho) == pytest.approx(fidelity([1.0, 0.0], rho))
+    for amps in ([1.0 + 1e-9, 0.0],                   # squared norm off by 2e-9
+                 [1.0, 1.0], [0.0, 0.0],
+                 [np.nan, 0.0], [1.0, np.inf],
+                 [1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]],    # not one pair
+                 bloch_amplitudes(np.array([0.3, 0.4]))):
+        with pytest.raises(ValueError):
+            fidelity(amps, rho)
+    with pytest.raises(ValueError):
+        fidelity([1.0, 0.0], _product(bloch_amplitudes(0.1), bloch_amplitudes(0.2)))
