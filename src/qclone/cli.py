@@ -163,7 +163,6 @@ def _cmd_validate(args):
 
 
 def _cmd_fidelity(args):
-    spec = _resolve_machine(args.machine)
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     if args.phi is None:
@@ -176,6 +175,7 @@ def _cmd_fidelity(args):
                              f"--degrees, got {args.phi}")
         header = ("theta", "F")
         phis = np.array([[phi]])
+    spec = _resolve_machine(args.machine)
     thetas = np.linspace(0.0, np.pi, args.points)
     states = bloch_amplitudes(thetas, phis)  # (curves, points, 2)
     curves = fidelities(states, machines.marginals(spec, states))

@@ -513,15 +513,15 @@ def spec_from_dict(doc: dict) -> CloningSpec:
 
 
 def save_spec(spec: CloningSpec, path) -> None:
-    """Write a machine-spec file (JSON, LF line endings)."""
+    """Write a machine-spec file (UTF-8 JSON, LF line endings)."""
     text = json.dumps(spec_to_dict(spec), indent=2) + "\n"
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def load_spec(path) -> CloningSpec:
-    """Read a machine-spec file written by save_spec."""
-    with open(path) as fh:
+    """Read a machine-spec file written by save_spec; JSON is UTF-8 (RFC 8259)."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

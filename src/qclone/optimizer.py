@@ -129,15 +129,13 @@ def scan_feasible_region(grid_steps: int) -> np.ndarray:
     grid_steps = int(grid_steps)
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be at least 2, got {grid_steps}")
-    zs = np.linspace(0.0, 0.5, grid_steps)
-    es = np.linspace(0.0, 1.0, grid_steps)
-    ks = np.linspace(0.0, 1.0, grid_steps)
-    zz, ee, kk = np.meshgrid(zs, es, ks, indexing="ij")
-    feas = gram_margin(zz, ee, kk) >= -FEASIBILITY_TOL
-    favg = np.where(feas, _mean_fidelity(zz, ee, kk), np.nan)
-    out = np.column_stack([
-        zz.ravel(), ee.ravel(), kk.ravel(),
-        feas.ravel().astype(float), favg.ravel(),
-    ])
-    return out
+    # an open mesh: the axes broadcast, and no grid-sized copy of them is made
+    zs, es, ks = np.ix_(np.linspace(0.0, 0.5, grid_steps), np.linspace(0.0, 1.0, grid_steps),
+                        np.linspace(0.0, 1.0, grid_steps))
+    out = np.empty((grid_steps,) * 3 + (5,))
+    out[..., 0], out[..., 1], out[..., 2] = zs, es, ks
+    feas = gram_margin(zs, es, ks) >= -FEASIBILITY_TOL
+    out[..., 3] = feas
+    out[..., 4] = np.where(feas, _mean_fidelity(zs, es, ks), np.nan)
+    return out.reshape(-1, 5)
 

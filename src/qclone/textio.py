@@ -44,18 +44,20 @@ def format_value(v) -> str:
 def render_table(header, table, sep: str = ",") -> str:
     """Header line, then one line per row of the 2-d float array `table`.
 
-    Each column is formatted once per distinct value and gathered back by
-    index, so a column that repeats values (the scan grid's zeta, eta, kappa
-    and feasible) costs one format_float call per value, not per cell.
-    np.unique merges -0.0 with 0.0 and every nan into one entry, which
-    format_float prints alike anyway.
+    Each column is formatted once per distinct value, separator (or line
+    break) attached, and np.searchsorted picks each cell's text, so the body
+    is one join over a (rows, cols) array of texts. np.unique merges -0.0
+    with 0.0 and every nan, which format_float prints alike; return_counts
+    keeps it off numpy 2's hash path, whose masked-array check imports numpy.ma.
     """
-    columns = []
-    for col in np.asarray(table, dtype=float).T:
-        values, index = np.unique(col, return_inverse=True)
-        texts = np.array([format_float(v) for v in values.tolist()], dtype=object)
-        columns.append(texts[index].tolist())
-    return "\n".join([sep.join(header), *map(sep.join, zip(*columns))]) + "\n"
+    cells = np.asarray(table, dtype=float)
+    texts = np.empty(cells.shape, dtype=object)
+    ends = [sep] * (cells.shape[1] - 1) + ["\n"]
+    for j, (col, end) in enumerate(zip(cells.T, ends)):
+        values, _ = np.unique(col, return_counts=True)
+        distinct = np.array([format_float(v) + end for v in values.tolist()], dtype=object)
+        texts[:, j] = distinct[np.searchsorted(values, col)]
+    return sep.join(header) + "\n" + "".join(texts.ravel().tolist())
 
 
 def render_records_text(items) -> str:

@@ -119,6 +119,53 @@ def test_missing_or_invalid_spec_file_exits_1(tmp_path):
     assert qclone("fidelity", "--machine", str(bad)).returncode == 1
 
 
+def test_flag_domains_are_checked_before_the_machine_file(tmp_path, capsys):
+    # a usage error is reported as such even when the machine file is missing
+    missing = str(tmp_path / "missing.json")
+    for argv in (["fidelity", "--machine", missing, "--points", "1"],
+                 ["fidelity", "--machine", missing, "--phi", "99"],
+                 ["b92", "curve", "--machines", missing, "--overlap-min", "0.1",
+                  "--overlap-max", "0.9", "--points", "1"]):
+        assert cli.run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --") and err.count("\n") == 1
+    assert cli.run(["fidelity", "--machine", missing, "--points", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read machine file")
+
+
+def test_spec_files_are_read_as_utf8_in_any_locale(tmp_path):
+    path = tmp_path / "cafe.json"
+    doc = {"name": "caf\u00e9", "variant": "channel", "fidelity": 0.9}
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    report = tmp_path / "report.txt"
+    # --out keeps stdout's encoding out of it; only the spec file is decoded
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    res = qclone("validate", "--spec", str(path), "--out", str(report), env=env)
+    assert res.returncode == 0 and res.stderr == ""
+    assert "name=caf\u00e9\n" in report.read_text(encoding="utf-8")
+
+
+def test_table_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy 2's np.unique without return_* flags calls np.ma.is_masked, which
+    # imports numpy.ma at a start-up cost; no table command needs it
+    script = (
+        "import sys, numpy\n"
+        "preloaded = 'numpy.ma' in sys.modules\n"
+        "from qclone import cli\n"
+        "out = ['--out', sys.argv[1]]\n"
+        "assert cli.run(['scan', '--grid-steps', '6', *out]) == 0\n"
+        "assert cli.run(['fidelity', '--machine', 'meridional', '--points', '9', *out]) == 0\n"
+        "assert cli.run(['b92', 'curve', '--machines', 'meridional,universal',\n"
+        "                '--overlap-min', '0.1', '--overlap-max', '0.9', '--points', '9',\n"
+        "                *out]) == 0\n"
+        "print(preloaded, 'numpy.ma' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "table.csv")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == ""
+    preloaded, loaded = res.stdout.split()
+    assert preloaded == "True" or loaded == "False"
+
+
 @pytest.mark.parametrize("doc", [
     {"variant": "channel", "fidelity": "0.9"},
     {"variant": "channel", "fidelity": True},

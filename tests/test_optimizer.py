@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,24 @@ def test_scan_feasible_fraction_pinned():
     feas = rows[:, 3] == 1.0
     assert rows[feas, 4].max() == pytest.approx(0.9365191279267546, abs=1e-12)
     assert rows[feas, 4].min() == pytest.approx(0.5, abs=1e-12)
+
+
+def _axis(hi, g):
+    """np.linspace(0, hi, g) in Python floats: i * step, the last point exact."""
+    step = hi / (g - 1)
+    return [i * step for i in range(g - 1)] + [hi]
+
+
+@pytest.mark.parametrize("g", [2, 5, 13])
+def test_scan_bitwise_equals_python_triple_loop(g):
+    rows = []
+    for z in _axis(0.5, g):
+        for e in _axis(1.0, g):
+            for k in _axis(1.0, g):
+                ok = 4.0 * z * (1.0 - 2.0 * z) - (k * k + e * e) >= -1e-12
+                favg = (3.0 - 2.0 * z + e + (4.0 / math.pi) * k) / 4.0 if ok else math.nan
+                rows.append((z, e, k, float(ok), favg))
+    scan = scan_feasible_region(g)
+    assert scan.shape == (g ** 3, 5) and scan.dtype == np.float64
+    assert scan.flags.c_contiguous
+    assert np.array_equal(scan.view(np.int64), np.array(rows).view(np.int64))

@@ -77,6 +77,21 @@ def test_render_table_matches_per_cell_formatting(cells, sep):
     assert render_table(header, cells, sep) == "\n".join(lines) + "\n"
 
 
+def test_render_table_at_scale_matches_per_cell_formatting():
+    # 20,000 rows: every column mixes the branch values of CELL_POOL with
+    # random floats over 24 decades, so columns hold both repeated and
+    # distinct values and nan, signed zeros and subnormals land anywhere
+    rng = np.random.default_rng(12)
+    shape = (20_000, 5)
+    rand = np.sign(rng.normal(size=shape)) * 10.0 ** rng.uniform(-12, 12, shape)
+    pooled = np.array(CELL_POOL)[rng.integers(len(CELL_POOL), size=shape)]
+    cells = np.where(rng.random(shape) < 0.5, pooled, rand)
+    header = [f"c{j}" for j in range(shape[1])]
+    for sep in (",", "\t"):
+        lines = [sep.join(header)] + [sep.join(map(format_float, row)) for row in cells.tolist()]
+        assert render_table(header, cells, sep) == "\n".join(lines) + "\n"
+
+
 def test_csv_records_quote_only_fields_that_need_it():
     items = [("plain", "ok"), ("comma", "a,b"), ("quote", 'say "hi"'), ("break", "x\ny"),
              ("num", 0.5)]
