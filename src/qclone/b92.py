@@ -60,6 +60,18 @@ def _check_vartheta(vartheta) -> float:
     return vt
 
 
+def _check_run(vartheta, n, seed) -> tuple:
+    """(vartheta, n, seed) as (float, int, int); ValueError, in this order,
+    unless n >= 1, 0 <= seed < 2**64 and vartheta passes _check_vartheta."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"need at least one trial, got {n}")
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return _check_vartheta(vartheta), n, seed
+
+
 def _projectors(amps: np.ndarray) -> np.ndarray:
     """|s><s| (..., 2, 2) for amplitude stacks (..., 2)."""
     return amps[..., :, None] * amps.conj()[..., None, :]
@@ -71,10 +83,11 @@ def _signals(varthetas) -> np.ndarray:
                      bloch_amplitudes(np.pi - np.asarray(varthetas), 0.0)], axis=-2)
 
 
-def _povm_arrays(u_amps: np.ndarray, v_amps: np.ndarray) -> np.ndarray:
-    """Elements (..., 3, 2, 2) of Bob's POVM for signal amplitudes (..., 2);
-    complete and positive semidefinite for every vartheta in (0, pi/2],
-    pi/2 included, where the two signals coincide."""
+def _povm_arrays(signals: np.ndarray) -> np.ndarray:
+    """Elements (..., 3, 2, 2) of Bob's POVM for signal pairs (..., 2, 2) as
+    _signals gives them; complete and positive semidefinite for every
+    vartheta in (0, pi/2], pi/2 included, where the two signals coincide."""
+    u_amps, v_amps = signals[..., 0, :], signals[..., 1, :]
     s = np.einsum("...i,...i->...", u_amps.conj(), v_amps).real[..., None, None]
     eye = np.eye(2, dtype=np.complex128)
     g1 = (eye - _projectors(u_amps)) / (1.0 + s)
@@ -123,7 +136,7 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     """
     signals = _signals(varthetas)
     mats = marginals(spec, signals)
-    g_ops = _povm_arrays(signals[:, 0], signals[:, 1])
+    g_ops = _povm_arrays(signals)
     probs = _probabilities(g_ops[:, None], mats)  # (n, signal u|v, outcome)
     q = 0.5 * (probs[:, 0] + probs[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -215,17 +228,10 @@ def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
     wrong bit. The seed must lie in [0, 2**64), the range of the RNG's seed
     word, so that no two reported seeds give the same run.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    signals = _signals(_check_vartheta(vartheta))
-    prob_rows = _probabilities(_povm_arrays(signals[0], signals[1]),
-                               marginals(spec, signals))
+    vt, n, seed = _check_run(vartheta, n, seed)
     # G1 and G1+G2 thresholds, one entry per signal state (u, v)
-    low, high = np.cumsum(prob_rows, axis=1)[:, :2].T
+    probs = _attack(spec, np.array([vt]))[0][0]  # (signal u|v, outcome)
+    low, high = np.cumsum(probs, axis=1)[:, :2].T
 
     n_conc = n_err = 0
     for start in range(0, n, CHUNK_TRIALS):

@@ -9,15 +9,16 @@ optimize    run the equal-fidelity or average-fidelity optimizer
 scan        tabulate realizability and average fidelity on a parameter grid
 b92         eavesdropping analysis: curve | analyze | simulate
 
-Each subcommand accepts --out PATH (default stdout) and --format csv|text;
-fidelity, b92 analyze and b92 simulate also take --degrees (angle flags in
-degrees). Table cells are floats in textio's 12-digit form. Machine
-arguments take a built-in name (meridional, wootters-zurek, universal,
-equatorial, ideal) or a spec-file path; `b92 simulate` also accepts `none`
-for an untouched channel (the ideal channel, F = 1). Exit status: 0
-success, 1 unreadable or invalid machine file, or a file path holding a
-control character (and `validate` on a failing spec), 2 usage or domain
-errors, a request too large for memory among them.
+Each subcommand accepts --out PATH (default stdout; either gets UTF-8 in
+any locale) and --format csv|text; fidelity, b92 analyze and b92 simulate
+also take --degrees (angle flags in degrees). Table cells are floats in
+textio's 12-digit form. Machine arguments take a built-in name (meridional,
+wootters-zurek, universal, equatorial, ideal) or a spec-file path; `b92
+simulate` also accepts `none` for an untouched channel (the ideal channel,
+F = 1). Every command checks its flags before it reads a machine file.
+Exit status: 0 success, 1 unreadable or invalid machine file, or a file
+path holding a control character (and `validate` on a failing spec), 2
+usage or domain errors, a request too large for memory among them.
 """
 
 from __future__ import annotations
@@ -39,17 +40,12 @@ class SpecFileError(Exception):
     """A machine file could not be read, parsed, or validated."""
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
     common.add_argument("--format", choices=("csv", "text"), default=None,
                         help="output format (default: csv for tables, text for reports)")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     angled = argparse.ArgumentParser(add_help=False, parents=[common])
     angled.add_argument("--degrees", action="store_true",
                         help="interpret angle flags as degrees")
@@ -123,29 +119,25 @@ def _read_spec(path: str):
         raise SpecFileError(f"invalid machine file {path!r}: {exc}") from exc
 
 
-def _resolve_machine(token: str, allow_none: bool = False):
+def _resolve_machine(token: str, allow_none: bool = False) -> tuple:
+    """(spec, label) for a machine argument; handlers call it after every
+    flag check. The label names the machine in reports and column labels:
+    the spec's name (a built-in's spec carries the built-in's name), else
+    the spec file's stem, with every character that is neither alphanumeric
+    nor one of '-_.' replaced by '_'."""
     if allow_none and token == "none":
-        return machines.channel_spec(1.0, "none")
-    if token in machines.BUILTIN_MACHINES:
-        return machines.builtin_spec(token)
-    spec = _read_spec(token)
-    if spec.variant == "explicit":
-        try:
-            machines._require_unitary(spec)
-        except ValueError as exc:
-            raise SpecFileError(f"machine file {token!r}: {exc}") from exc
-    return spec
-
-
-def _machine_label(token: str, spec) -> str:
-    """The machine's name in reports and column labels: a built-in's name,
-    else the spec's name, else the spec file's stem, with every character
-    that is neither alphanumeric nor one of '-_.' replaced by '_'."""
-    if token in machines.BUILTIN_MACHINES:
-        label = token
+        spec = machines.channel_spec(1.0, "none")
+    elif token in machines.BUILTIN_MACHINES:
+        spec = machines.builtin_spec(token)
     else:
-        label = spec.name or Path(token).stem
-    return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in label)
+        spec = _read_spec(token)
+        if spec.variant == "explicit":
+            try:
+                machines._require_unitary(spec)
+            except ValueError as exc:
+                raise SpecFileError(f"machine file {token!r}: {exc}") from exc
+    label = spec.name or Path(token).stem
+    return spec, "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in label)
 
 
 def _cmd_validate(args):
@@ -175,7 +167,7 @@ def _cmd_fidelity(args):
                              f"--degrees, got {args.phi}")
         header = ("theta", "F")
         phis = np.array([[phi]])
-    spec = _resolve_machine(args.machine)
+    spec, _ = _resolve_machine(args.machine)
     thetas = np.linspace(0.0, np.pi, args.points)
     states = bloch_amplitudes(thetas, phis)  # (curves, points, 2)
     curves = fidelities(states, machines.marginals(spec, states))
@@ -211,8 +203,7 @@ def _cmd_b92_curve(args):
     if not 0.0 < omin < omax < 1.0:
         raise ValueError(
             f"need 0 < --overlap-min < --overlap-max < 1, got {omin} and {omax}")
-    specs = [_resolve_machine(token) for token in tokens]
-    labels = [_machine_label(token, spec) for token, spec in zip(tokens, specs)]
+    specs, labels = zip(*(_resolve_machine(token) for token in tokens))
     repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
     if repeated:
         raise ValueError(f"--machines gives the column label {repeated[0]!r} to more "
@@ -226,10 +217,10 @@ def _cmd_b92_curve(args):
 
 
 def _cmd_b92_analyze(args):
-    spec = _resolve_machine(args.machine)
-    vartheta = _angle(args.vartheta, args.degrees)
+    vartheta = b92._check_vartheta(_angle(args.vartheta, args.degrees))
+    spec, label = _resolve_machine(args.machine)
     res = b92.attack_analysis(spec, vartheta)
-    items = [("machine", _machine_label(args.machine, spec)), ("vartheta", vartheta),
+    items = [("machine", label), ("vartheta", vartheta),
              ("overlap", res.overlap),
              ("mutual_information", res.mutual_information),
              ("discrepancy", res.discrepancy)]
@@ -240,11 +231,10 @@ def _cmd_b92_analyze(args):
 
 
 def _cmd_b92_simulate(args):
-    spec = _resolve_machine(args.machine, allow_none=True)
-    vartheta = _angle(args.vartheta, args.degrees)
-    run = b92.simulate_protocol(spec, vartheta, args.n, args.seed)
-    return [("machine", _machine_label(args.machine, spec)),
-            ("vartheta", vartheta)] + run.records(), 0
+    vartheta, n, seed = b92._check_run(_angle(args.vartheta, args.degrees), args.n, args.seed)
+    spec, label = _resolve_machine(args.machine, allow_none=True)
+    run = b92.simulate_protocol(spec, vartheta, n, seed)
+    return [("machine", label), ("vartheta", vartheta)] + run.records(), 0
 
 
 _TABLES = {"fidelity": _cmd_fidelity, "scan": _cmd_scan, "curve": _cmd_b92_curve}
@@ -264,22 +254,22 @@ def _dispatch(args):
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Writes text as UTF-8 to the file `out`, or to stdout, in any locale."""
+    data = text.encode("utf-8")
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text written to stdout earlier stays first
+        sys.stdout.buffer.write(data)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(data)
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code
     try:
         text, status = _dispatch(args)
         _write_output(text, args.out)

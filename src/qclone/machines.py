@@ -224,15 +224,12 @@ class CloningSpec:
 
     def bh_params(self) -> BHParams:
         """Extract (zeta, eta, kappa) from the apparatus vectors."""
-        self._require_explicit("bh_params")
+        if self.variant != "explicit":
+            raise ValueError("bh_params is only defined for explicit specs")
         zeta = float(np.vdot(self.y0, self.y0).real)
         eta = 2.0 * float(np.vdot(self.y0, self.q1).real)
         kappa = 2.0 * float(np.vdot(self.q0, self.y0).real)
         return BHParams(zeta, eta, kappa)
-
-    def _require_explicit(self, what: str):
-        if self.variant != "explicit":
-            raise ValueError(f"{what} is only defined for explicit specs")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ import numpy as np
 from .machines import FEASIBILITY_TOL, BHParams, _require_feasible, gram_margin
 
 _FOUR_OVER_PI = 4.0 / np.pi
+_BOUNDARY_TOL = 1e-6  # a bound within this distance of the optimum is active
 
 
 def _mean_fidelity(zeta, eta, kappa):
@@ -63,13 +64,13 @@ class OptimizationResult:
     notes: str = ""
 
 
-def _boundary_flags(p: BHParams, tol: float = 1e-6) -> dict:
+def _boundary_flags(p: BHParams) -> dict:
     return {
-        "gram": abs(gram_margin(p.zeta, p.eta, p.kappa)) <= tol,
-        "zeta_lower": p.zeta <= tol,
-        "zeta_upper": abs(p.zeta - 0.5) <= tol,
-        "eta_lower": p.eta <= tol,
-        "kappa_lower": p.kappa <= tol,
+        "gram": abs(gram_margin(p.zeta, p.eta, p.kappa)) <= _BOUNDARY_TOL,
+        "zeta_lower": p.zeta <= _BOUNDARY_TOL,
+        "zeta_upper": abs(p.zeta - 0.5) <= _BOUNDARY_TOL,
+        "eta_lower": p.eta <= _BOUNDARY_TOL,
+        "kappa_lower": p.kappa <= _BOUNDARY_TOL,
     }
 
 

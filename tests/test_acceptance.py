@@ -176,8 +176,7 @@ def test_criterion_07_information_curve_ordering():
 def test_criterion_08_povm_suite():
     ok = True
     for vt in np.linspace(1e-3, np.pi / 2 - 1e-3, 500):
-        u_amps, v_amps = b92._signals(vt)
-        g = b92._povm_arrays(u_amps, v_amps)
+        g = b92._povm_arrays(b92._signals(vt))
         ok = ok and np.max(np.abs(g - np.stack(oracles.povm_elements(vt)))) <= 1e-12
         ok = ok and np.max(np.abs(g[0] + g[1] + g[2] - np.eye(2))) <= 1e-12
         ok = ok and all(np.linalg.eigvalsh(op)[0] >= -1e-12 for op in g)

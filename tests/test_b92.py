@@ -14,8 +14,7 @@ EQUATORIAL_D = 0.5 - np.sqrt(1.0 / 8.0)
 
 def _povm(vt):
     """Bob's POVM elements (3, 2, 2) at vartheta, from the package's signals."""
-    u, v = b92._signals(vt)
-    return b92._povm_arrays(u, v)
+    return b92._povm_arrays(b92._signals(vt))
 
 
 def _oracle_probs(vt, rho):

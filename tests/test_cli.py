@@ -120,17 +120,32 @@ def test_missing_or_invalid_spec_file_exits_1(tmp_path):
 
 
 def test_flag_domains_are_checked_before_the_machine_file(tmp_path, capsys):
-    # a usage error is reported as such even when the machine file is missing
+    # a usage error is reported as such, in the words it has with a built-in
+    # machine, even when the machine file (M) is missing
     missing = str(tmp_path / "missing.json")
-    for argv in (["fidelity", "--machine", missing, "--points", "1"],
-                 ["fidelity", "--machine", missing, "--phi", "99"],
-                 ["b92", "curve", "--machines", missing, "--overlap-min", "0.1",
-                  "--overlap-max", "0.9", "--points", "1"]):
-        assert cli.run(argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: --") and err.count("\n") == 1
-    assert cli.run(["fidelity", "--machine", missing, "--points", "5"]) == 1
-    assert capsys.readouterr().err.startswith("error: cannot read machine file")
+
+    def run(command, machine):
+        code = cli.run([machine if a == "M" else a for a in command.split()])
+        return (code, *capsys.readouterr())
+
+    for command, message in (
+            ("fidelity --machine M --points 1", "--points must"),
+            ("fidelity --machine M --phi 99", "--phi must"),
+            ("b92 curve --machines M --overlap-min 0.1 --overlap-max 0.9 --points 1",
+             "--points must"),
+            ("b92 analyze --machine M --vartheta 2.5", "vartheta must"),
+            ("b92 simulate --machine M --vartheta 0.5 --n 0 --seed 1", "need at least one"),
+            ("b92 simulate --machine M --vartheta 0.5 --n 5 --seed -1", "seed must"),
+            ("b92 simulate --machine M --vartheta 0 --n 5 --seed 1", "vartheta must")):
+        code, out, err = run(command, missing)
+        assert code == 2 and out == "", command
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert run(command, "meridional") == (2, "", err)
+    for command in ("fidelity --machine M --points 5",
+                    "b92 analyze --machine M --vartheta 0.5",
+                    "b92 simulate --machine M --vartheta 0.5 --n 5 --seed 1"):
+        code, out, err = run(command, missing)
+        assert code == 1 and out == "" and err.startswith("error: cannot read machine file")
 
 
 def test_spec_files_are_read_as_utf8_in_any_locale(tmp_path):
@@ -138,11 +153,21 @@ def test_spec_files_are_read_as_utf8_in_any_locale(tmp_path):
     doc = {"name": "caf\u00e9", "variant": "channel", "fidelity": 0.9}
     path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
     report = tmp_path / "report.txt"
-    # --out keeps stdout's encoding out of it; only the spec file is decoded
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     res = qclone("validate", "--spec", str(path), "--out", str(report), env=env)
     assert res.returncode == 0 and res.stderr == ""
     assert "name=caf\u00e9\n" in report.read_text(encoding="utf-8")
+    # stdout gets the same UTF-8 bytes as --out, whatever the locale's encoding
+    for args in (["validate", "--spec", str(path)],
+                 ["b92", "analyze", "--machine", str(path), "--vartheta", "0.5"],
+                 ["b92", "curve", "--machines", f"meridional,{path}", "--overlap-min",
+                  "0.1", "--overlap-max", "0.9", "--points", "3"]):
+        argv = [sys.executable, "-m", "qclone", *args]
+        res = subprocess.run(argv, capture_output=True, env=env)
+        assert res.returncode == 0 and res.stderr == b"", args
+        assert subprocess.run([*argv, "--out", str(report)], env=env).returncode == 0
+        assert res.stdout == report.read_bytes()
+        assert "caf\u00e9".encode("utf-8") in res.stdout
 
 
 def test_table_commands_leave_numpy_ma_unimported(tmp_path):

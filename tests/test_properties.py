@@ -51,7 +51,7 @@ def rotated_machines(draw):
 @example(np.pi / 2)
 @example(5e-324)
 def test_povm_is_complete_and_positive(vt):
-    g = b92._povm_arrays(*b92._signals(vt))
+    g = b92._povm_arrays(b92._signals(vt))
     assert g.shape == (3, 2, 2)
     assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-12
     assert np.max(np.abs(g - g.conj().swapaxes(-1, -2))) <= 1e-12
