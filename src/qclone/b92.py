@@ -37,24 +37,24 @@ thresholds of the signal sent, looked up from 2-entry tables.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .qcore import bloch_amplitudes, fidelities
+from .qcore import HERM_TOL, TRACE_TOL, bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
-from .machines import CloningSpec, marginals
+from .machines import CloningSpec, _real, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
 from .textio import render_records_text
 
-_POVM_SUM_TOL = 1e-12
 CHUNK_TRIALS = 1 << 15  # trials simulated per block of variates
 
 
 def _check_vartheta(vartheta) -> float:
-    """vartheta as a float, if it lies in (0, pi/2]; ValueError otherwise."""
-    vt = float(vartheta)
+    """vartheta as a float, if it is a real number in (0, pi/2]; ValueError otherwise."""
+    vt = _real(vartheta, "vartheta")
     if not np.isfinite(vt) or not 0.0 < vt <= np.pi / 2:
         raise ValueError(f"vartheta must lie in (0, pi/2], got {vt}")
     return vt
@@ -62,14 +62,13 @@ def _check_vartheta(vartheta) -> float:
 
 def _check_run(vartheta, n, seed) -> tuple:
     """(vartheta, n, seed) as (float, int, int); ValueError, in this order,
-    unless n >= 1, 0 <= seed < 2**64 and vartheta passes _check_vartheta."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return _check_vartheta(vartheta), n, seed
+    unless n and seed are integers (not bools) with n >= 1 and
+    0 <= seed < 2**64, and vartheta passes _check_vartheta."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need at least one trial, as an integer, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return _check_vartheta(vartheta), int(n), int(seed)
 
 
 def _projectors(amps: np.ndarray) -> np.ndarray:
@@ -98,15 +97,15 @@ def _povm_arrays(signals: np.ndarray) -> np.ndarray:
 def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Tr(G_mu rho) (..., 3) for POVM elements (..., 3, 2, 2) and qubit states
     (..., 2, 2), broadcast over the leading axes. Raises ValueError if an
-    imaginary part or the distance of a row sum from 1 exceeds 1e-12, then
-    clips the rounding noise of probabilities that are 0 or 1 into [0, 1]."""
+    imaginary part exceeds HERM_TOL or a row sum (Tr rho) is off 1 by more
+    than TRACE_TOL, then clips the rounding noise of 0 and 1 into [0, 1]."""
     vals = np.einsum("...mij,...ji->...m", g_ops, mats)
     worst = np.max(np.abs(vals.imag), initial=0.0)
-    if worst > 1e-12:
+    if worst > HERM_TOL:
         raise ValueError(f"outcome probability has imaginary part {worst:.3e}")
     probs = vals.real
     total = probs.sum(axis=-1)
-    off = np.abs(total - 1.0) > _POVM_SUM_TOL
+    off = np.abs(total - 1.0) > TRACE_TOL
     if np.any(off):
         raise ValueError(f"outcome probabilities sum to {total[off].flat[0]}, not 1")
     return np.clip(probs, 0.0, 1.0)

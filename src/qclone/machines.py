@@ -68,13 +68,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, check_bloch_angles, check_qubit_densities
+from .qcore import FEASIBILITY_TOL, RANK_CLAMP, UNITARITY_TOL, DensityMatrix, _unit_pairs
+from .qcore import check_bloch_angles, check_qubit_densities
 from .qcore import partial_trace  # noqa: F401  (bench/tracer.py wraps machines.partial_trace)
 from .qcore import to_density  # noqa: F401  (bench/tracer.py wraps machines.to_density)
-
-UNITARITY_TOL = 1e-10
-JOINT_NORM_TOL = 1e-8  # largest |input amplitude norm - 1| marginals accepts
-FEASIBILITY_TOL = 1e-12  # boundary read-backs land ~1e-16 outside the region
 
 UNIVERSAL_FIDELITY = 5.0 / 6.0
 EQUATORIAL_FIDELITY = 0.5 + np.sqrt(1.0 / 8.0)
@@ -85,8 +82,8 @@ class BHParams:
     """Apparatus inner products (zeta, eta, kappa) of an explicit machine.
 
     The valid domain is the realizability region checked by feasible();
-    construction itself only requires finite values so that arbitrary
-    triples can be queried.
+    construction itself only requires finite real numbers (not bools) so
+    that arbitrary triples can be queried.
     """
 
     zeta: float
@@ -94,12 +91,11 @@ class BHParams:
     kappa: float
 
     def __post_init__(self):
-        vals = (float(self.zeta), float(self.eta), float(self.kappa))
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("machine parameters must be finite")
-        object.__setattr__(self, "zeta", vals[0])
-        object.__setattr__(self, "eta", vals[1])
-        object.__setattr__(self, "kappa", vals[2])
+        for field in ("zeta", "eta", "kappa"):
+            value = _real(getattr(self, field), field)
+            if not np.isfinite(value):
+                raise ValueError("machine parameters must be finite")
+            object.__setattr__(self, field, value)
 
 
 def gram_margin(zeta, eta, kappa):
@@ -112,15 +108,12 @@ def gram_margin(zeta, eta, kappa):
 def feasible(p: BHParams) -> bool:
     """Whether (zeta, eta, kappa) describes a realizable machine.
 
-    True iff 0 <= zeta <= 1/2, eta >= 0, kappa >= 0 and the Gram matrix of
-    the four apparatus vectors is positive semidefinite for some overlap
-    q = <Q0|Q1>, equivalently gram_margin(zeta, eta, kappa) >= 0; every
-    bound is relaxed by FEASIBILITY_TOL.
+    True iff eta >= 0, kappa >= 0 and the Gram matrix of the four apparatus
+    vectors is positive semidefinite for some overlap q = <Q0|Q1>,
+    equivalently gram_margin(zeta, eta, kappa) >= 0, which also keeps zeta
+    in [0, 1/2]; every bound is relaxed by FEASIBILITY_TOL.
     """
-    z, e, k = p.zeta, p.eta, p.kappa
-    tol = FEASIBILITY_TOL
-    return (-tol <= z <= 0.5 + tol and e >= -tol and k >= -tol
-            and gram_margin(z, e, k) >= -tol)
+    return min(p.eta, p.kappa, gram_margin(p.zeta, p.eta, p.kappa)) >= -FEASIBILITY_TOL
 
 
 def _require_feasible(p: BHParams) -> None:
@@ -276,7 +269,7 @@ def synthesize(p: BHParams) -> CloningSpec:
     [(kappa+eta)^2/(4 zeta) - (1-2 zeta), (1-2 zeta) - (kappa-eta)^2/(4 zeta)]
     (q = 0 when zeta = 0 and the Y vectors vanish), which maximizes the
     positivity margin. Vectors are rows of a spectral square root of the
-    Gram matrix; eigenvalues below 1e-12 are clamped to zero, and the
+    Gram matrix; eigenvalues below RANK_CLAMP are set to zero, and the
     apparatus dimension is the resulting rank. A triple admitted only by
     FEASIBILITY_TOL that no unitary machine approximates (eta or kappa far
     above 2 sqrt(zeta) as zeta -> 0) raises ValueError.
@@ -291,7 +284,7 @@ def synthesize(p: BHParams) -> CloningSpec:
         q = (lo + hi) / 2
     gram = gram_matrix(p, q)
     eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals = np.where(eigvals < 1e-12, 0.0, eigvals)
+    eigvals = np.where(eigvals < RANK_CLAMP, 0.0, eigvals)
     cols = np.nonzero(eigvals > 0.0)[0]
     rows = eigvecs[:, cols] * np.sqrt(eigvals[cols])
     spec = CloningSpec(
@@ -382,25 +375,14 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
     """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>
     given as amplitude stacks (..., 2), such as bloch_amplitudes returns.
 
-    Every amplitude pair must have norm 1 within JOINT_NORM_TOL; a pair
-    further off 1 than rounding (1e-15) is divided by its norm before either
-    variant uses it. Explicit variant: the Gram formulas of the module
-    docstring, after one unitarity validation of the spec. Channel variant:
-    F |s><s| + (1-F) |s_perp><s_perp|.
+    Every pair must have norm 1 within JOINT_NORM_TOL and is divided by it
+    when off by more than UNIT_CUT, before either variant uses it. Explicit
+    variant: the Gram formulas of the module docstring, after one unitarity
+    validation of the spec. Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
     Every result passes the DensityMatrix checks (finite, unit trace,
     eigenvalues in [0, 1]) or a ValueError is raised.
     """
-    s = np.asarray(amps, dtype=np.complex128)
-    if s.shape[-1:] != (2,):
-        raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
-    norm = np.sqrt(np.sum(s.real ** 2 + s.imag ** 2, axis=-1))
-    far = ~(np.abs(norm - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
-    if np.any(far):
-        raise ValueError(f"input amplitudes {s[far][0]} have norm {norm[far][0]}, "
-                         f"not 1 within {JOINT_NORM_TOL}")
-    # pairs already unit to rounding are used as given: dividing them would
-    # only add rounding, enough to move a CLI table in its last printed digit
-    s = np.where((np.abs(norm - 1.0) > 1e-15)[..., None], s / norm[..., None], s)
+    s = _unit_pairs(amps)
     alpha, beta = s[..., 0], s[..., 1]
     if spec.variant == "channel":
         f = spec.clone_fidelity

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machines import FEASIBILITY_TOL, BHParams, _require_feasible, gram_margin
+from .machines import BHParams, _require_feasible, gram_margin
+from .qcore import BOUNDARY_TOL, FEASIBILITY_TOL
 
 _FOUR_OVER_PI = 4.0 / np.pi
-_BOUNDARY_TOL = 1e-6  # a bound within this distance of the optimum is active
 
 
 def _mean_fidelity(zeta, eta, kappa):
@@ -66,11 +66,11 @@ class OptimizationResult:
 
 def _boundary_flags(p: BHParams) -> dict:
     return {
-        "gram": abs(gram_margin(p.zeta, p.eta, p.kappa)) <= _BOUNDARY_TOL,
-        "zeta_lower": p.zeta <= _BOUNDARY_TOL,
-        "zeta_upper": abs(p.zeta - 0.5) <= _BOUNDARY_TOL,
-        "eta_lower": p.eta <= _BOUNDARY_TOL,
-        "kappa_lower": p.kappa <= _BOUNDARY_TOL,
+        "gram": abs(gram_margin(p.zeta, p.eta, p.kappa)) <= BOUNDARY_TOL,
+        "zeta_lower": p.zeta <= BOUNDARY_TOL,
+        "zeta_upper": abs(p.zeta - 0.5) <= BOUNDARY_TOL,
+        "eta_lower": p.eta <= BOUNDARY_TOL,
+        "kappa_lower": p.kappa <= BOUNDARY_TOL,
     }
 
 

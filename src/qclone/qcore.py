@@ -14,8 +14,7 @@ Conventions:
     * Bloch angles (theta, phi) give the amplitudes
       (cos(theta/2), e^{i phi} sin(theta/2)); the |0> amplitude is real and
       non-negative by construction.
-    * Validation tolerances: Hermiticity and trace 1e-12, positivity -1e-10
-      on the minimum eigenvalue.
+    * Every tolerance is named once, below (validation: HERM_TOL, TRACE_TOL, PSD_TOL).
 """
 
 from __future__ import annotations
@@ -24,9 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERM_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = -1e-10
+# Each: what it bounds; worst (rounded up) over built-ins, boundary machines, goldens' inputs
+HERM_TOL = 1e-12  # |rho - rho^H|, |Im| of <s|rho|s> and of Tr(G rho); worst 1.2e-16
+TRACE_TOL = 1e-12  # |Tr rho - 1|, |<s|s> - 1| in fidelity, |POVM row sum - 1|; worst 4.5e-16
+PSD_TOL = -1e-10  # how far an eigenvalue of rho may lie outside [0, 1]; worst 8.9e-16
+UNITARITY_TOL = 1e-10  # |residual| of each unitarity condition on a spec; worst 2.2e-15
+JOINT_NORM_TOL = 1e-8  # |norm - 1| of an input amplitude pair; worst 2.3e-16
+UNIT_CUT = 1e-15  # a pair whose |norm - 1| exceeds this is divided by its norm; worst 2.3e-16
+FEASIBILITY_TOL = 1e-12  # how far a triple may lie outside the realizable region; worst 2.0e-15
+RANK_CLAMP = 1e-12  # Gram eigenvalues that synthesize sets to zero; worst 9.0e-16
+BOUNDARY_TOL = 1e-6  # distance of an active bound from an optimum; worst 0, inactive >= 0.1
 
 
 def check_bloch_angles(theta, phi):
@@ -144,12 +150,31 @@ def fidelity(amps, rho: DensityMatrix) -> float:
     return float(fidelities(s, rho.matrix))
 
 
-def fidelities(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def _unit_pairs(amps) -> np.ndarray:
+    """Amplitude stacks (..., 2) as complex pairs of norm 1. A pair whose norm
+    is NaN or off 1 by more than JOINT_NORM_TOL is a ValueError; one off by
+    more than UNIT_CUT is divided by its norm."""
+    s = np.asarray(amps, dtype=np.complex128)
+    if s.shape[-1:] != (2,):
+        raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
+    norm = np.sqrt(np.sum(s.real ** 2 + s.imag ** 2, axis=-1))
+    far = ~(np.abs(norm - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
+    if np.any(far):
+        raise ValueError(f"input amplitudes {s[far][0]} have norm {norm[far][0]}, "
+                         f"not 1 within {JOINT_NORM_TOL}")
+    # pairs already unit to rounding are used as given: dividing them would
+    # only add rounding, enough to move a CLI table in its last printed digit
+    return np.where((np.abs(norm - 1.0) > UNIT_CUT)[..., None], s / norm[..., None], s)
+
+
+def fidelities(amps, mats: np.ndarray) -> np.ndarray:
     """Overlaps <s|rho|s>, clipped to [0, 1], for stacks of qubit amplitudes
-    (..., 2) and single-qubit density matrices (..., 2, 2)."""
+    (..., 2) and single-qubit density matrices (..., 2, 2). Like marginals,
+    it refuses a pair whose norm is not 1 within JOINT_NORM_TOL."""
+    amps = _unit_pairs(amps)
     vals = np.einsum("...i,...i->...", amps.conj(), np.einsum("...ij,...j->...i", mats, amps))
     worst = np.max(np.abs(vals.imag), initial=0.0)
-    if worst > 1e-12:
+    if worst > HERM_TOL:
         raise ValueError(f"fidelity has non-negligible imaginary part {worst:.3e}")
     return np.clip(vals.real, 0.0, 1.0)
 

@@ -206,6 +206,14 @@ def test_simulation_domain():
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="seed"):
             simulate_protocol(ideal, 0.5, 100, seed)
+    # a count or seed that is not an integer is refused, not truncated
+    for n, seed in ((2.7, 1), (True, 1), (100, 1.9), (100, False)):
+        with pytest.raises(ValueError, match="integer"):
+            simulate_protocol(ideal, 0.7, n, seed)
+    with pytest.raises(ValueError, match="vartheta must be a real number"):
+        attack_analysis(ideal, True)
+    run = simulate_protocol(ideal, np.float32(0.7), np.int64(10), np.uint64(2 ** 64 - 1))
+    assert (run.n_trials, run.seed) == (10, 2 ** 64 - 1)
 
 
 @pytest.mark.parametrize("machine", ["ideal", "meridional", "equatorial"])

@@ -60,6 +60,12 @@ def test_bhparams_rejects_non_finite():
         BHParams(float("nan"), 0.1, 0.1)
     with pytest.raises(ValueError):
         BHParams(0.1, float("inf"), 0.1)
+    # only real numbers: no strings, bools or complex numbers
+    for args in (("0.1", 0.4, 0.4), (True, 0, 0), (0.1 + 0j, 0.4, 0.4)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            BHParams(*args)
+    p = BHParams(np.float32(0.5), np.int64(0), 0)
+    assert (p.zeta, p.eta, p.kappa) == (0.5, 0.0, 0.0) and type(p.eta) is float
 
 
 def test_gram_matrix_layout():

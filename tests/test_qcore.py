@@ -64,6 +64,10 @@ def test_fidelities_match_vdot_and_clip():
     assert fidelities(amps[0], 1.5 * np.eye(2)) == 1.0
     with pytest.raises(ValueError):
         fidelities(amps[:2], np.array([[[1, 0], [0, 0]], [[0.5, 1j], [0, 0.5]]]))
+    # what is not a state is refused, as marginals refuses it, not scored
+    for not_a_state in np.array([[2.0, 0.0], [0.1, 0.0], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="input amplitudes"):
+            fidelities(not_a_state, np.eye(2) / 2)
 
 
 def test_check_qubit_densities_matches_density_matrix_rules():
