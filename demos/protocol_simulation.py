@@ -6,6 +6,7 @@ Run: python3 demos/protocol_simulation.py
 import numpy as np
 
 from qclone import attack_analysis, builtin_spec, meridional_spec, simulate_protocol
+from qclone.textio import render_records_text
 
 VARTHETA = 0.7
 N = 50_000
@@ -17,14 +18,14 @@ print("workers cannot change a single outcome.\n")
 
 clean = simulate_protocol(builtin_spec("ideal"), VARTHETA, N, seed=2024)
 print(f"No eavesdropper, n = {N}, seed 2024:")
-print("  " + clean.to_text().replace("\n", "\n  ").rstrip("  "))
+print("  " + render_records_text(clean.records()).replace("\n", "\n  ").rstrip("  "))
 print("Unambiguous discrimination never errs on intact states; the only cost")
 print(f"is the inconclusive rate near sin(vartheta) = {np.sin(VARTHETA):.4f}.\n")
 
 spec = meridional_spec()
 attacked = simulate_protocol(spec, VARTHETA, N, seed=2024)
 print("Same seed, meridional attack in the channel:")
-print("  " + attacked.to_text().replace("\n", "\n  ").rstrip("  "))
+print("  " + render_records_text(attacked.records()).replace("\n", "\n  ").rstrip("  "))
 
 ana = attack_analysis(spec, VARTHETA)
 (p1u, p1v), (p2u, p2v), _ = (ana.outcome_probs[k] for k in ("G1", "G2", "G3"))

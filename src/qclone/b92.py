@@ -37,7 +37,6 @@ thresholds of the signal sent, looked up from 2-entry tables.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,8 @@ import numpy as np
 from . import rng
 from .qcore import HERM_TOL, TRACE_TOL, bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
-from .machines import CloningSpec, _real, marginals
+from .machines import CloningSpec, _integer, _real, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
-from .textio import render_records_text
 
 CHUNK_TRIALS = 1 << 15  # trials simulated per block of variates
 
@@ -64,11 +62,9 @@ def _check_run(vartheta, n, seed) -> tuple:
     """(vartheta, n, seed) as (float, int, int); ValueError, in this order,
     unless n and seed are integers (not bools) with n >= 1 and
     0 <= seed < 2**64, and vartheta passes _check_vartheta."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"need at least one trial, as an integer, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return _check_vartheta(vartheta), int(n), int(seed)
+    n = _integer(n, f"need at least one trial, as an integer, got {n!r}", 1)
+    seed = _integer(seed, f"seed must be an integer in [0, 2**64), got {seed!r}", 0, 2 ** 64 - 1)
+    return _check_vartheta(vartheta), n, seed
 
 
 def _projectors(amps: np.ndarray) -> np.ndarray:
@@ -126,7 +122,8 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     of a cloning attack at each of n half-angles in (0, pi/2].
 
     Eve applies the same POVM as Bob to her clone; priors are 1/2 each.
-    Outcomes with zero total probability are skipped and 0 log 0 = 0.
+    Outcomes with zero total probability are skipped and 0 log 0 = 0, and
+    I is exactly 0 where her outcome probabilities for u and v are equal.
     The discrepancy is the larger of the two per-state values (they
     coincide for machines symmetric across the meridian midpoint). A
     channel puts weight 1 - F on s_perp by construction; that closed form
@@ -143,6 +140,7 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
         terms = np.where(post > 0.0, post * np.log2(post), 0.0)
     qh = np.where(q > 0.0, -q * terms.sum(axis=1), 0.0)  # q_mu H_mu
     info = np.clip(1.0 - qh[:, 0] - qh[:, 1] - qh[:, 2], 0.0, 1.0)
+    info[np.all(probs[:, 0] == probs[:, 1], axis=1)] = 0.0
     if spec.variant == "channel":
         disc = np.full(len(signals), 1.0 - spec.clone_fidelity)
     else:
@@ -209,10 +207,6 @@ class ProtocolRun:
                 ("errors", self.errors),
                 ("conclusive_rate", self.empirical_conclusive_rate),
                 ("error_rate", self.empirical_error_rate)]
-
-    def to_text(self) -> str:
-        """Deterministic key=value serialization (byte-identical per seed)."""
-        return render_records_text(self.records())
 
 
 def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,

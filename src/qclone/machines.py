@@ -63,6 +63,7 @@ needs; their joint two-clone correlations are out of scope.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -146,6 +147,13 @@ def _real(value, what: str) -> float:
         raise ValueError(f"{what} is out of range") from None
 
 
+def _integer(value, message: str, lo=-math.inf, hi=math.inf) -> int:
+    """An integer in [lo, hi] as an int; anything else, bools too, raises ValueError(message)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(message)
+    return int(value)
+
+
 def _has_control(text: str) -> bool:
     """Whether text holds a control character (Unicode category Cc), which
     would break a report line."""
@@ -159,9 +167,10 @@ class CloningSpec:
     variant 'explicit' carries the four d-vectors (d in {2, 3, 4}); variant
     'channel' carries a single clone fidelity in [1/2, 1] and maps each
     clone marginal to F |s><s| + (1-F) |s_perp><s_perp|. Construction
-    validates types, shapes and ranges (name a string without control
-    characters, which would break a report line, apparatus_dim an
-    integer, not a bool, fidelity a real number, not a bool) and raises
+    is the one check of every field's type, shape and range (name a string
+    without control characters, which would break a report line,
+    apparatus_dim an integer, fidelity a real number, vector entries
+    numbers; bools, strings and None are never numbers) and raises
     ValueError for anything else; the unitarity equalities are checked by
     validate_unitarity so that near-miss specs can be diagnosed.
     """
@@ -182,21 +191,21 @@ class CloningSpec:
             raise ValueError(f"name must not contain control characters, got {self.name!r}")
         if self.variant == "explicit":
             d = self.apparatus_dim
-            if (isinstance(d, bool) or not isinstance(d, numbers.Integral)
-                    or d not in (2, 3, 4)):
-                raise ValueError(f"apparatus_dim must be the integer 2, 3 or 4, got {d!r}")
-            d = int(d)
+            d = _integer(d, f"apparatus_dim must be the integer 2, 3 or 4, got {d!r}", 2, 4)
             object.__setattr__(self, "apparatus_dim", d)
             for attr in ("q0", "q1", "y0", "y1"):
                 vec = getattr(self, attr)
                 if vec is None:
                     raise ValueError(f"explicit spec is missing vector {attr}")
+                entries = np.array(vec, dtype=object)
+                if entries.shape != (d,):
+                    raise ValueError(f"{attr} must have length {d}, got {entries.shape}")
+                if any(isinstance(x, bool) or not isinstance(x, numbers.Number) for x in entries):
+                    raise ValueError(f"{attr} must be a vector of numbers")
                 try:
-                    arr = np.array(vec, dtype=np.complex128, copy=True)
-                except (TypeError, ValueError, OverflowError):
-                    raise ValueError(f"{attr} must be a vector of numbers") from None
-                if arr.shape != (d,):
-                    raise ValueError(f"{attr} must have length {d}, got {arr.shape}")
+                    arr = entries.astype(np.complex128)
+                except OverflowError:
+                    raise ValueError(f"{attr} is out of range") from None
                 if not np.all(np.isfinite(arr.view(np.float64))):
                     raise ValueError(f"{attr} has non-finite entries")
                 arr.setflags(write=False)
@@ -213,7 +222,7 @@ class CloningSpec:
             if self.apparatus_dim is not None:
                 raise ValueError("channel spec does not take apparatus_dim")
         else:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"variant must be 'explicit' or 'channel', got {self.variant!r}")
 
     def bh_params(self) -> BHParams:
         """Extract (zeta, eta, kappa) from the apparatus vectors."""
@@ -442,60 +451,40 @@ def fidelity_closed_form(p: BHParams, theta, phi):
 # `fidelity` value (channel). Written deterministically so save -> load ->
 # save is byte-stable.
 
-def spec_to_dict(spec: CloningSpec) -> dict:
-    doc = {"name": spec.name, "variant": spec.variant}
-    if spec.variant == "explicit":
-        doc["apparatus_dim"] = spec.apparatus_dim
-        for key, vec in (("Q0", spec.q0), ("Q1", spec.q1),
-                         ("Y0", spec.y0), ("Y1", spec.y1)):
-            doc[key] = [[float(c.real), float(c.imag)] for c in vec]
-    else:
-        doc["fidelity"] = spec.clone_fidelity
-    return doc
-
-
 def spec_from_dict(doc: dict) -> CloningSpec:
-    """Build a spec from a parsed machine file, rejecting every malformed field
-    with a ValueError. The vector entries are checked here, as [re, im]
-    pairs of real numbers; the other field types are CloningSpec's checks."""
-    if not isinstance(doc, dict) or "variant" not in doc:
-        raise ValueError("machine file must be a mapping with a 'variant' field")
-    variant = doc["variant"]
-    name = doc.get("name", "")
+    """Build a spec from a parsed machine file. Only the file's own rule is
+    checked here, that each vector is a list of [re, im] pairs of real
+    numbers; the variant's fields go to CloningSpec, which raises ValueError
+    for any that is missing or malformed. Fields the variant does not take
+    are ignored."""
+    if not isinstance(doc, dict):
+        raise ValueError("machine file must be a mapping")
+    variant = doc.get("variant")
+    fields = {"variant": variant, "name": doc.get("name", "")}
     if variant == "explicit":
-        missing = [k for k in ("apparatus_dim", "Q0", "Q1", "Y0", "Y1") if k not in doc]
-        if missing:
-            raise ValueError(f"explicit machine file is missing fields: {missing}")
-        vecs = {}
-        for key in ("Q0", "Q1", "Y0", "Y1"):
-            pairs = doc[key]
+        fields["apparatus_dim"] = doc.get("apparatus_dim")
+        for key in (k for k in ("Q0", "Q1", "Y0", "Y1") if k in doc):
+            pairs, what = doc[key], f"field {key}"
             if not isinstance(pairs, list) or not all(
                     isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-                raise ValueError(f"field {key} must be a list of [re, im] pairs")
-            what = f"field {key}"
-            vecs[key] = np.array([complex(_real(re, what), _real(im, what))
-                                  for re, im in pairs], dtype=np.complex128)
-        return CloningSpec(
-            variant="explicit",
-            name=name,
-            apparatus_dim=doc["apparatus_dim"],
-            q0=vecs["Q0"],
-            q1=vecs["Q1"],
-            y0=vecs["Y0"],
-            y1=vecs["Y1"],
-        )
-    if variant == "channel":
-        if "fidelity" not in doc:
-            raise ValueError("channel machine file is missing the 'fidelity' field")
-        return CloningSpec(variant="channel", name=name, clone_fidelity=doc["fidelity"])
-    raise ValueError(f"unknown variant {variant!r} in machine file")
+                raise ValueError(f"{what} must be a list of [re, im] pairs")
+            fields[key.lower()] = [complex(_real(re, what), _real(im, what)) for re, im in pairs]
+    elif variant == "channel":
+        fields["clone_fidelity"] = doc.get("fidelity")
+    return CloningSpec(**fields)
 
 
 def save_spec(spec: CloningSpec, path) -> None:
     """Write a machine-spec file (UTF-8 JSON, LF line endings)."""
-    text = json.dumps(spec_to_dict(spec), indent=2) + "\n"
+    doc = {"name": spec.name, "variant": spec.variant}
+    if spec.variant == "explicit":
+        doc["apparatus_dim"] = spec.apparatus_dim
+        for key in ("Q0", "Q1", "Y0", "Y1"):
+            doc[key] = [[float(c.real), float(c.imag)] for c in getattr(spec, key.lower())]
+    else:
+        doc["fidelity"] = spec.clone_fidelity
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_spec(path) -> CloningSpec:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machines import BHParams, _require_feasible, gram_margin
+from .machines import BHParams, _integer, _require_feasible, gram_margin
 from .qcore import BOUNDARY_TOL, FEASIBILITY_TOL
 
 _FOUR_OVER_PI = 4.0 / np.pi
@@ -127,7 +127,7 @@ def scan_feasible_region(grid_steps: int) -> np.ndarray:
     (zeta outermost, kappa innermost). Returns an (n, 5) array with columns
     (zeta, eta, kappa, feasible, favg); favg is NaN where infeasible.
     """
-    grid_steps = int(grid_steps)
+    grid_steps = _integer(grid_steps, f"grid_steps must be an integer, got {grid_steps!r}")
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be at least 2, got {grid_steps}")
     # an open mesh: the axes broadcast, and no grid-sized copy of them is made

@@ -210,9 +210,9 @@ def test_criterion_09_monte_carlo_calibration():
                 and abs(run.empirical_error_rate - pe) <= 3 * se_e):
             within += 1
     elapsed = time.time() - start
-    repeat = simulate_protocol(spec, vt, n, 11).to_text()
+    repeat = simulate_protocol(spec, vt, n, 11).records()
     ok = (within >= 99 and elapsed <= 60.0
-          and repeat == simulate_protocol(spec, vt, n, 11).to_text())
+          and repeat == simulate_protocol(spec, vt, n, 11).records())
     _report(9, f"Monte Carlo calibrated ({within}/100 seeds within 3 SE, "
                f"{elapsed:.1f}s)", ok)
 

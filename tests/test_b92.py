@@ -6,6 +6,7 @@ import pytest
 from qclone import b92
 from qclone.b92 import attack_analysis, info_curve, simulate_protocol
 from qclone.machines import BHParams, CloningSpec, builtin_spec, meridional_spec, synthesize
+from qclone.textio import render_records_text
 
 import oracles
 
@@ -98,6 +99,14 @@ def test_attack_analysis_degenerate_endpoint():
     assert res.discrepancy == pytest.approx(0.10, abs=1e-12)
 
 
+@pytest.mark.parametrize("machine", ["meridional", "wootters-zurek", "universal",
+                                     "equatorial", "ideal"])
+def test_information_is_exactly_zero_when_signals_coincide(machine):
+    # at vartheta = pi/2 Eve's outcome does not depend on the bit sent, so I is
+    # exactly 0, not the information chain's rounding
+    assert attack_analysis(builtin_spec(machine), np.pi / 2).mutual_information == 0.0
+
+
 def test_ideal_machine_gives_full_information_no_disturbance():
     res = attack_analysis(builtin_spec("ideal"), 0.5)
     assert res.discrepancy == pytest.approx(0.0, abs=1e-14)
@@ -145,11 +154,11 @@ def test_info_curve_meridional_discrepancy_window():
 def test_simulation_deterministic_and_consistent():
     run1 = simulate_protocol(meridional_spec(), 0.7, 20_000, 99)
     run2 = simulate_protocol(meridional_spec(), 0.7, 20_000, 99)
-    assert run1.to_text() == run2.to_text()
+    assert run1.records() == run2.records()
     assert run1.conclusive + run1.inconclusive == run1.n_trials
     assert run1.errors <= run1.conclusive
     diff = simulate_protocol(meridional_spec(), 0.7, 20_000, 100)
-    assert diff.to_text() != run1.to_text()
+    assert diff.records() != run1.records()
 
 
 def test_simulation_no_attack_never_errs():
@@ -163,7 +172,7 @@ def test_simulation_no_attack_never_errs():
 
 
 def test_simulation_golden_serialization():
-    text = simulate_protocol(builtin_spec("ideal"), 0.6, 1000, 123).to_text()
+    text = render_records_text(simulate_protocol(builtin_spec("ideal"), 0.6, 1000, 123).records())
     assert text == (
         "seed=123\n"
         "n_trials=1000\n"
@@ -173,7 +182,7 @@ def test_simulation_golden_serialization():
         "conclusive_rate=0.402\n"
         "error_rate=0\n"
     )
-    attacked = simulate_protocol(meridional_spec(), 0.6, 1000, 123).to_text()
+    attacked = render_records_text(simulate_protocol(meridional_spec(), 0.6, 1000, 123).records())
     assert attacked == (
         "seed=123\n"
         "n_trials=1000\n"
@@ -351,4 +360,5 @@ def test_info_curve_rejects_nan_overlap():
      "conclusive_rate=0.55952\nerror_rate=0.306941664284\n"),
 ])
 def test_simulation_tallies_pinned(machine, vartheta, seed, text):
-    assert simulate_protocol(builtin_spec(machine), vartheta, 100_000, seed).to_text() == text
+    run = simulate_protocol(builtin_spec(machine), vartheta, 100_000, seed)
+    assert render_records_text(run.records()) == text

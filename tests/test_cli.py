@@ -191,18 +191,25 @@ def test_table_commands_leave_numpy_ma_unimported(tmp_path):
     assert preloaded == "True" or loaded == "False"
 
 
-@pytest.mark.parametrize("doc", [
-    {"variant": "channel", "fidelity": "0.9"},
-    {"variant": "channel", "fidelity": True},
-    {"variant": "channel", "fidelity": 0.9, "name": 7},
-    {"variant": "explicit", "apparatus_dim": 2.7},
-    {"variant": "explicit", "apparatus_dim": "2"},
-], ids=["fidelity-string", "fidelity-bool", "name-int", "dim-float", "dim-string"])
-def test_malformed_spec_fields_exit_1(tmp_path, doc):
+@pytest.mark.parametrize("doc, drop, field", [
+    ({"variant": "channel", "fidelity": "0.9"}, (), "fidelity"),
+    ({"variant": "channel", "fidelity": True}, (), "fidelity"),
+    ({"variant": "channel", "fidelity": 0.9, "name": 7}, (), "name"),
+    ({"variant": "explicit", "apparatus_dim": 2.7}, (), "apparatus_dim"),
+    ({"variant": "explicit", "apparatus_dim": "2"}, (), "apparatus_dim"),
+    ({"variant": "explicit"}, ("variant",), "variant"),
+    ({"variant": "implicit"}, (), "variant"),
+    ({"variant": "explicit"}, ("Q0",), "q0"),
+    ({"variant": "explicit"}, ("apparatus_dim",), "apparatus_dim"),
+    ({"variant": "channel"}, (), "fidelity"),
+], ids=["fidelity-string", "fidelity-bool", "name-int", "dim-float", "dim-string",
+        "no-variant", "unknown-variant", "no-Q0", "no-dim", "no-fidelity"])
+def test_malformed_spec_fields_exit_1(tmp_path, doc, drop, field):
     path = tmp_path / "malformed.json"
-    if doc["variant"] == "explicit":
+    if doc["variant"] != "channel":
         save_spec(meridional_spec(), path)
         doc = {**json.loads(path.read_text()), **doc}
+    doc = {key: value for key, value in doc.items() if key not in drop}
     path.write_text(json.dumps(doc))
     for args in (("validate", "--spec", str(path)),
                  ("b92", "analyze", "--machine", str(path), "--vartheta", "0.5")):
@@ -210,6 +217,7 @@ def test_malformed_spec_fields_exit_1(tmp_path, doc):
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert field in res.stderr
 
 
 def test_validate_passing_spec(tmp_path):

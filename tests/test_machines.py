@@ -255,6 +255,33 @@ def test_explicit_spec_rejects_non_integer_dim(dim):
                     q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y1)
 
 
+@pytest.mark.parametrize("attr", ["q0", "q1", "y0", "y1"])
+@pytest.mark.parametrize("entries", [["0.63", "0.63"], [True, False], [np.bool_(True), 0.5],
+                                     np.array([True, False]), [None, 0.5], [[0.5], [0.5]],
+                                     [[0.5, 0.0], [0.5, 0.0]]],
+                         ids=["str", "bool", "np-bool", "bool-array", "none", "nested",
+                              "nested-pairs"])
+def test_explicit_spec_rejects_non_number_entries(attr, entries):
+    base = meridional_spec()
+    vectors = {"q0": base.q0, "q1": base.q1, "y0": base.y0, "y1": base.y1, attr: entries}
+    with pytest.raises(ValueError):
+        CloningSpec(variant="explicit", apparatus_dim=2, **vectors)
+
+
+def test_explicit_spec_accepts_numeric_vectors():
+    base = meridional_spec()
+    r10 = 1.0 / np.sqrt(10.0)
+    spec = CloningSpec(variant="explicit", apparatus_dim=2, q0=base.q0.real,
+                       q1=list(base.q1), y0=[complex(r10), 0j],
+                       y1=np.array([0.0, r10], dtype=np.complex128))
+    for attr in ("q0", "q1", "y0", "y1"):
+        vec = getattr(spec, attr)
+        assert vec.dtype == np.complex128 and not vec.flags.writeable
+        np.testing.assert_array_equal(vec, getattr(base, attr))
+    assert CloningSpec(variant="explicit", apparatus_dim=2, q0=base.q0.astype(np.complex64),
+                       q1=[1, 0], y0=np.zeros(2, dtype=np.int64), y1=[0.0, 0j]).q1[0] == 1
+
+
 def test_spec_constructor_accepts_numpy_scalars():
     base = meridional_spec()
     spec = CloningSpec(variant="explicit", apparatus_dim=np.int64(2),
@@ -444,7 +471,7 @@ def test_load_spec_rejects_malformed(tmp_path):
     with pytest.raises(ValueError):
         load_spec(path)
     path.write_text(json.dumps({"variant": "explicit", "name": "x"}))
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(ValueError):
         load_spec(path)
     path.write_text("[" * 100_000)
     with pytest.raises(ValueError):
@@ -512,7 +539,7 @@ def test_spec_from_dict_fuzz_yields_spec_or_value_error(tmp_path):
 
 
 def test_spec_from_dict_rejects_mistyped_fields(tmp_path):
-    # the five documents of test_cli.test_malformed_spec_fields_exit_1, plus:
+    # besides the documents of test_cli.test_malformed_spec_fields_exit_1:
     path = tmp_path / "mer.json"
     save_spec(meridional_spec(), path)
     explicit = json.loads(path.read_text())

@@ -123,6 +123,16 @@ def test_scan_shape_and_flags():
         scan_feasible_region(1)
 
 
+@pytest.mark.parametrize("steps", [2.7, 3.0, "3", True, None])
+def test_scan_refuses_non_integer_grid_steps(steps):
+    with pytest.raises(ValueError, match="grid_steps must be an integer"):
+        scan_feasible_region(steps)
+
+
+def test_scan_accepts_numpy_integer_grid_steps():
+    np.testing.assert_array_equal(scan_feasible_region(np.int64(3)), scan_feasible_region(3))
+
+
 def test_scan_feasible_fraction_pinned():
     # regression pin for the 50^3 grid; it counts the four grid points on the
     # exact Gram boundary, such as (9/98, 12/49, 24/49) and (10/49, 2/49,
