@@ -8,14 +8,7 @@ eavesdropper on the B92 key-distribution protocol, analytically and by
 seeded Monte Carlo simulation.
 """
 
-from .qcore import (
-    DensityMatrix,
-    bloch_amplitudes,
-    fidelities,
-    fidelity,
-    partial_trace,
-    to_density,
-)
+from .qcore import bloch_amplitudes, fidelities
 from .machines import (
     BHParams,
     BUILTIN_MACHINES,
@@ -23,7 +16,6 @@ from .machines import (
     ValidationReport,
     builtin_spec,
     channel_spec,
-    clone,
     feasible,
     fidelity_closed_form,
     gram_matrix,
@@ -58,7 +50,6 @@ __all__ = [
     "BHParams",
     "BUILTIN_MACHINES",
     "CloningSpec",
-    "DensityMatrix",
     "OptimizationResult",
     "ProtocolRun",
     "ValidationReport",
@@ -67,10 +58,8 @@ __all__ = [
     "bloch_amplitudes",
     "builtin_spec",
     "channel_spec",
-    "clone",
     "feasible",
     "fidelities",
-    "fidelity",
     "fidelity_closed_form",
     "gram_matrix",
     "info_curve",
@@ -79,13 +68,11 @@ __all__ = [
     "meridional_spec",
     "optimize_average",
     "optimize_equal_fidelity",
-    "partial_trace",
     "reduced_output_closed_form",
     "save_spec",
     "scan_feasible_region",
     "simulate_protocol",
     "synthesize",
-    "to_density",
     "validate_unitarity",
     "wootters_zurek_spec",
 ]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import HERM_TOL, TRACE_TOL, bloch_amplitudes, fidelities
+from .qcore import HERM_TOL, TRACE_TOL, _perp, _projectors, bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
 from .machines import CloningSpec, _integer, _real, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
@@ -65,11 +65,6 @@ def _check_run(vartheta, n, seed) -> tuple:
     n = _integer(n, f"need at least one trial, as an integer, got {n!r}", 1)
     seed = _integer(seed, f"seed must be an integer in [0, 2**64), got {seed!r}", 0, 2 ** 64 - 1)
     return _check_vartheta(vartheta), n, seed
-
-
-def _projectors(amps: np.ndarray) -> np.ndarray:
-    """|s><s| (..., 2, 2) for amplitude stacks (..., 2)."""
-    return amps[..., :, None] * amps.conj()[..., None, :]
 
 
 def _signals(varthetas) -> np.ndarray:
@@ -144,8 +139,7 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     if spec.variant == "channel":
         disc = np.full(len(signals), 1.0 - spec.clone_fidelity)
     else:
-        s_perp = np.stack([-signals[..., 1].conj(), signals[..., 0].conj()], axis=-1)
-        disc = np.max(fidelities(s_perp, mats), axis=1)  # <s_perp|rho|s_perp>
+        disc = np.max(fidelities(_perp(signals), mats), axis=1)  # <s_perp|rho|s_perp>
     return probs, info, disc
 
 

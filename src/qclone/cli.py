@@ -16,9 +16,10 @@ textio's 12-digit form. Machine arguments take a built-in name (meridional,
 wootters-zurek, universal, equatorial, ideal) or a spec-file path; `b92
 simulate` also accepts `none` for an untouched channel (the ideal channel,
 F = 1). Every command checks its flags before it reads a machine file.
-Exit status: 0 success, 1 unreadable or invalid machine file, or a file
-path holding a control character (and `validate` on a failing spec), 2
-usage or domain errors, a request too large for memory among them.
+Exit status: 0 success, 1 unreadable or invalid machine file, unwritable
+output (a closed stdout too) or a file path holding a control character
+(and `validate` on a failing spec), 2 usage or domain errors, a request
+too large for memory among them.
 """
 
 from __future__ import annotations
@@ -257,6 +258,8 @@ def _write_output(text: str, out: str | None) -> None:
     """Writes text as UTF-8 to the file `out`, or to stdout, in any locale."""
     data = text.encode("utf-8")
     if out is None:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError("standard output is closed")
         sys.stdout.flush()  # text written to stdout earlier stays first
         sys.stdout.buffer.write(data)
     else:

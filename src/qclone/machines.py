@@ -47,10 +47,9 @@ With C = alpha Y0 + beta Y1,
 
 each divided by the joint norm^2 = rho_00 + rho_11. marginals() evaluates
 these for a whole batch of inputs at once and is the one single-clone
-kernel: every fidelity curve and every B92 figure comes from it, and
-clone() is its view for one amplitude pair as a DensityMatrix. The machine
-is symmetric, so both clones have this same reduced state. The tests check
-the kernel against brute-force references in tests/oracles.py.
+kernel: every fidelity curve and every B92 figure comes from it. The
+machine is symmetric, so both clones have this same reduced state. The
+tests check the kernel against brute-force references in tests/oracles.py.
 
 The meridional machine is the member at (zeta, eta, kappa) =
 (1/10, 2/5, 2/5); it copies every Eastern-meridian state with fidelity
@@ -69,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import FEASIBILITY_TOL, RANK_CLAMP, UNITARITY_TOL, DensityMatrix, _unit_pairs
-from .qcore import check_bloch_angles, check_qubit_densities
+from .qcore import FEASIBILITY_TOL, RANK_CLAMP, UNITARITY_TOL, DensityMatrix, _perp, _projectors
+from .qcore import _unit_pairs, check_bloch_angles, check_qubit_densities
 from .qcore import partial_trace  # noqa: F401  (bench/tracer.py wraps machines.partial_trace)
 from .qcore import to_density  # noqa: F401  (bench/tracer.py wraps machines.to_density)
 
@@ -366,9 +365,8 @@ def builtin_spec(name: str) -> CloningSpec:
 
 
 def clone(spec: CloningSpec, amps) -> DensityMatrix:
-    """One clone's reduced state for one input amplitude pair, such as
-    bloch_amplitudes(theta, phi) returns: the marginals() result as a
-    DensityMatrix. Both clones share it."""
+    """marginals() for one input amplitude pair, as a DensityMatrix; not
+    exported by the package (use marginals)."""
     return DensityMatrix((2,), marginals(spec, amps))
 
 
@@ -388,16 +386,14 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
     when off by more than UNIT_CUT, before either variant uses it. Explicit
     variant: the Gram formulas of the module docstring, after one unitarity
     validation of the spec. Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
-    Every result passes the DensityMatrix checks (finite, unit trace,
+    Every result passes check_qubit_densities (finite, unit trace,
     eigenvalues in [0, 1]) or a ValueError is raised.
     """
     s = _unit_pairs(amps)
     alpha, beta = s[..., 0], s[..., 1]
     if spec.variant == "channel":
         f = spec.clone_fidelity
-        s_perp = np.stack([-beta.conj(), alpha.conj()], axis=-1)
-        mats = (f * (s[..., :, None] * s.conj()[..., None, :])
-                + (1 - f) * (s_perp[..., :, None] * s_perp.conj()[..., None, :]))
+        mats = f * _projectors(s) + (1 - f) * _projectors(_perp(s))
     else:
         _require_unitary(spec)
         vecs = np.stack([spec.q0, spec.q1, spec.y0, spec.y1])

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -290,6 +291,14 @@ def test_out_flag_writes_identical_bytes(tmp_path):
     assert res.stdout == ""
     piped = qclone("fidelity", "--machine", "meridional", "--points", "19")
     assert target.read_text() == piped.stdout
+
+
+def test_closed_stdout_is_one_error_line_and_exit_1():
+    command = f"{shlex.quote(sys.executable)} -m qclone optimize --mode average >&-"
+    res = subprocess.run(["sh", "-c", command], capture_output=True, text=True)
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
 
 def test_csv_roundtrip_reemit_byte_identical():

@@ -68,3 +68,47 @@ def test_unused_imports_are_the_tracer_pinned_ones():
             assert (module, name) in targets, f"bench/tracer.py does not wrap {module}.{name}"
             pinned.append(f"{module}.{name}")
     assert pinned, "no tracer-pinned import found; the walk is broken"
+
+
+PER_STATE = ("DensityMatrix", "to_density", "partial_trace", "fidelity", "clone")
+
+
+def _per_state_uses(tree):
+    """(name, line) of each reference to a per-state name, outside
+    machines.clone's own body: a bare name the module binds by an import or a
+    definition (a parameter such as channel_spec's `fidelity` is not one),
+    or an attribute of a package module."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    bound = {name for name, _ in _imports(tree)} | {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    allowed = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and fn.name == "clone" for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Name) and node.id in bound & set(PER_STATE):
+            yield node.id, node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr in PER_STATE
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.attr, node.lineno
+
+
+def test_per_state_layer_stays_unexported_and_unused():
+    """The per-state layer (qcore's DensityMatrix, to_density, partial_trace
+    and fidelity, and machines.clone) is not exported, and no module but
+    qcore uses it, apart from the imports the tracer pins and clone's own
+    body. Deleting it then touches nothing else in the package."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = set(ast.literal_eval(_assigned(tree, "__all__")))
+    imported = {name for name, _ in _imports(tree)}
+    assert not (exported | imported) & set(PER_STATE), "the package exports a per-state name"
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "qcore.py"):
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        for name, lineno in _imports(ast.parse(source)):
+            if name in PER_STATE and not (path.stem, name) == ("machines", "DensityMatrix"):
+                assert "noqa: F401" in lines[lineno - 1], f"{path.stem} imports {name} for use"
+        uses = list(_per_state_uses(ast.parse(source)))
+        assert not uses, f"{path.stem} uses the per-state layer at {uses}"

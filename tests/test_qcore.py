@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qclone.qcore import (
+    PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     bloch_amplitudes,
     check_qubit_densities,
@@ -70,18 +72,42 @@ def test_fidelities_match_vdot_and_clip():
             fidelities(not_a_state, np.eye(2) / 2)
 
 
+def _is_qubit_density(mat):
+    """Reference rule in plain numpy: finite entries, trace 1 within
+    TRACE_TOL and eigvalsh's eigenvalues inside [0, 1] up to PSD_TOL."""
+    if not np.all(np.isfinite(mat)):
+        return False
+    eigs = np.linalg.eigvalsh(mat)
+    return (abs(np.trace(mat).real - 1.0) <= TRACE_TOL
+            and eigs[0] >= PSD_TOL and eigs[-1] <= 1.0 - PSD_TOL)
+
+
+def _refused(mats):
+    try:
+        check_qubit_densities(mats)
+    except ValueError:
+        return True
+    return False
+
+
 def test_check_qubit_densities_matches_density_matrix_rules():
     good = np.array([[[0.9, 0.2], [0.2, 0.1]], [[0.5, 0.5j], [-0.5j, 0.5]]])
+    assert all(_is_qubit_density(m) for m in good)
     check_qubit_densities(good)
     for bad in ([[0.9, 0.2], [0.2, 0.2]],        # trace 1.1
                 [[1.2, 0.0], [0.0, -0.2]],       # eigenvalue below 0
                 [[0.5, 0.6], [0.6, 0.5]],        # eigenvalues -0.1 and 1.1
                 [[np.nan, 0.0], [0.0, 0.5]]):
         bad = np.array(bad, dtype=complex)
-        with pytest.raises(ValueError):
-            check_qubit_densities(np.stack([good[0], bad]))
-        with pytest.raises(ValueError):
-            DensityMatrix((2,), bad)
+        assert not _is_qubit_density(bad)
+        assert _refused(np.stack([good[0], bad]))
+    # unit-trace Hermitian matrices on both sides of the eigenvalue bounds
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, r, phase = rng.uniform(-0.1, 1.1), rng.uniform(0.0, 0.6), rng.uniform(0, 2 * np.pi)
+        c = r * np.exp(1j * phase)
+        mat = np.array([[a, c], [np.conj(c), 1.0 - a]])
+        assert _refused(mat) == (not _is_qubit_density(mat)), mat
 
 
 def test_main_circle_branches():
@@ -167,10 +193,18 @@ def test_fidelity_orthogonal_states():
 
 
 def test_fidelity_takes_one_finite_unit_amplitude_pair():
+    """fidelity is fidelities for one pair, under the one amplitude rule:
+    a norm off 1 by up to JOINT_NORM_TOL is divided out, more is refused."""
     rho = _projector(bloch_amplitudes(1.0, 2.0))
     assert fidelity([1.0, 0.0], rho) == fidelity(np.array([1.0 + 0j, 0.0]), rho)
     assert fidelity([1.0 + 4e-13, 0.0], rho) == pytest.approx(fidelity([1.0, 0.0], rho))
-    for amps in ([1.0 + 1e-9, 0.0],                   # squared norm off by 2e-9
+    mixed = DensityMatrix((2,), np.diag([0.9, 0.1]))
+    for amps in ([1.0 + 1e-9, 0.0], [1.0 + 1e-11, 0.0]):
+        assert fidelity(amps, mixed) == 0.9
+        for state in (rho, mixed):
+            got = fidelity(amps, state)
+            assert np.float64(got).tobytes() == fidelities(amps, state.matrix).tobytes()
+    for amps in ([1.0 + 1e-7, 0.0],                   # norm off by 1e-7
                  [1.0, 1.0], [0.0, 0.0],
                  [np.nan, 0.0], [1.0, np.inf],
                  [1.0, 0.0, 0.0], [1.0], [[1.0, 0.0]],    # not one pair

@@ -98,9 +98,8 @@ def _herm(real):
 
 
 def _trace(real):
-    norm2 = np.sum(np.abs(real.pairs) ** 2, axis=-1)
     return max(np.abs(np.trace(real.states, axis1=-2, axis2=-1) - 1).max(),
-               np.abs(norm2 - 1).max(), np.abs(real.probs.real.sum(axis=-1) - 1).max())
+               np.abs(real.probs.real.sum(axis=-1) - 1).max())
 
 
 def _psd(real):
@@ -219,8 +218,6 @@ TIGHT = {
     "TRACE_TOL": [
         lambda d: _refused("trace", DensityMatrix, (2,), _diag(0.5 + d, 0.5)),
         lambda d: _refused("trace", check_qubit_densities, _diag(0.5 + d, 0.5)),
-        lambda d: _refused("squared norm", fidelity, [np.sqrt(1 + d), 0.0],
-                           DensityMatrix((2,), _diag(0.5, 0.5))),
         lambda d: _refused("sum to", b92._probabilities, _POVM, _diag(0.5 + d, 0.5)),
     ],
     "PSD_TOL": [
@@ -234,6 +231,8 @@ TIGHT = {
     "JOINT_NORM_TOL": [
         lambda d: _refused("input amplitudes", marginals, meridional_spec(), [1 + d, 0.0]),
         lambda d: _refused("input amplitudes", fidelities, [1 + d, 0.0], _diag(0.5, 0.5)),
+        lambda d: _refused("input amplitudes", fidelity, [1 + d, 0.0],
+                           DensityMatrix((2,), _diag(0.5, 0.5))),
     ],
     "UNIT_CUT": [
         lambda d: _unit_fidelity(np.array([1 + d, 0.0])),
