@@ -18,7 +18,6 @@ from .machines import (
     channel_spec,
     feasible,
     fidelity_closed_form,
-    gram_matrix,
     load_spec,
     marginals,
     meridional_spec,
@@ -61,7 +60,6 @@ __all__ = [
     "feasible",
     "fidelities",
     "fidelity_closed_form",
-    "gram_matrix",
     "info_curve",
     "load_spec",
     "marginals",

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import HERM_TOL, TRACE_TOL, _perp, _projectors, bloch_amplitudes, fidelities
+from .qcore import HERM_TOL, TRACE_TOL, _numbers, _perp, _projectors, bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
 from .machines import CloningSpec, _integer, _real, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
@@ -159,7 +159,7 @@ def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
 
 def info_curve(spec: CloningSpec, overlaps) -> np.ndarray:
     """Rows (O, I, D) for each requested overlap O = sin^2(vartheta) in (0, 1)."""
-    overlaps = np.atleast_1d(np.asarray(overlaps, dtype=float))
+    overlaps = np.atleast_1d(_numbers(overlaps, float, "overlaps"))
     if overlaps.ndim != 1 or overlaps.size == 0:
         raise ValueError("need a non-empty 1-d list of overlaps")
     if not np.all((overlaps > 0.0) & (overlaps < 1.0)):

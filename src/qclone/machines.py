@@ -17,13 +17,15 @@ and the whole family is summarized by the real triple
 
 The Cauchy-Schwarz bounds 0 <= zeta <= 1/2 and 0 <= eta, kappa <=
 2 sqrt(zeta (1 - 2 zeta)) are necessary but not sufficient for such vectors
-to exist; realizability is the positive semidefiniteness of their 4x4 Gram
-matrix for some free overlap q = <Q0|Q1>, which reduces to the closed
-condition that the Gram margin 4 zeta (1 - 2 zeta) - (kappa^2 + eta^2) is
-non-negative (cross-checked against a brute-force eigenvalue scan in the
-test suite).
+to exist; realizability is the positive semidefiniteness of their Gram
+matrix (<Qi|Qi> = 1 - 2 zeta, <Qi|Yi> = kappa / 2, <Qi|Yj> = eta / 2 for
+i != j, the Y entries above) for some free overlap q = <Q0|Q1>, which
+reduces to the closed condition that the Gram margin 4 zeta (1 - 2 zeta) -
+(kappa^2 + eta^2) is non-negative (cross-checked against a brute-force
+eigenvalue scan in the test suite). synthesize builds such vectors in
+closed form.
 
-For a machine with that Gram matrix (gram_matrix(p, q), any q) and the input
+For a machine with that Gram matrix (any q) and the input
 cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, each clone's reduced state and
 fidelity have closed forms:
 
@@ -51,7 +53,7 @@ kernel: every fidelity curve and every B92 figure comes from it. The
 machine is symmetric, so both clones have this same reduced state. The
 tests check the kernel against brute-force references in tests/oracles.py.
 
-The meridional machine is the member at (zeta, eta, kappa) =
+The meridional machine is the one synthesize builds at (zeta, eta, kappa) =
 (1/10, 2/5, 2/5); it copies every Eastern-meridian state with fidelity
 between 0.90 and 0.95. Universal and equatorial machines are modeled as
 constant-fidelity channels (F = 5/6 and 1/2 + sqrt(1/8)) acting on each
@@ -64,11 +66,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import FEASIBILITY_TOL, RANK_CLAMP, UNITARITY_TOL, DensityMatrix, _perp, _projectors
+from .qcore import FEASIBILITY_TOL, UNITARITY_TOL, DensityMatrix, _perp, _projectors
 from .qcore import _unit_pairs, check_bloch_angles, check_qubit_densities
 from .qcore import partial_trace  # noqa: F401  (bench/tracer.py wraps machines.partial_trace)
 from .qcore import to_density  # noqa: F401  (bench/tracer.py wraps machines.to_density)
@@ -121,18 +123,6 @@ def _require_feasible(p: BHParams) -> None:
         raise ValueError(
             f"parameters (zeta={p.zeta}, eta={p.eta}, kappa={p.kappa}) are not "
             "realizable: kappa^2 + eta^2 must not exceed 4*zeta*(1 - 2*zeta)")
-
-
-def gram_matrix(p: BHParams, q_overlap: float) -> np.ndarray:
-    """4x4 Gram matrix of (Q0, Q1, Y0, Y1) at a given overlap q = <Q0|Q1>."""
-    z, e, k = p.zeta, p.eta, p.kappa
-    q = float(q_overlap)
-    return np.array([
-        [1 - 2 * z, q, k / 2, e / 2],
-        [q, 1 - 2 * z, e / 2, k / 2],
-        [k / 2, e / 2, z, 0.0],
-        [e / 2, k / 2, 0.0, z],
-    ])
 
 
 def _real(value, what: str) -> float:
@@ -270,75 +260,47 @@ def validate_unitarity(spec: CloningSpec) -> ValidationReport:
 
 
 def synthesize(p: BHParams) -> CloningSpec:
-    """Build explicit apparatus vectors realizing the given (zeta, eta, kappa).
+    """Explicit apparatus vectors realizing (zeta, eta, kappa), in closed form.
 
-    The free overlap q = <Q0|Q1> is unconstrained by any single-clone
-    observable; it is fixed at the midpoint of its admissible interval
-    [(kappa+eta)^2/(4 zeta) - (1-2 zeta), (1-2 zeta) - (kappa-eta)^2/(4 zeta)]
-    (q = 0 when zeta = 0 and the Y vectors vanish), which maximizes the
-    positivity margin. Vectors are rows of a spectral square root of the
-    Gram matrix; eigenvalues below RANK_CLAMP are set to zero, and the
-    apparatus dimension is the resulting rank. A triple admitted only by
-    FEASIBILITY_TOL that no unitary machine approximates (eta or kappa far
-    above 2 sqrt(zeta) as zeta -> 0) raises ValueError.
+    With s = sqrt(zeta), a = kappa / (2 s), b = eta / (2 s) and
+    r = sqrt(max(1 - 2 zeta - a^2 - b^2, 0)): Y0 = s e1, Y1 = s e2,
+    Q0 = r e0 + a e1 + b e2 and Q1 = b e1 + a e2 + r e3, which puts the free
+    overlap <Q0|Q1> = eta kappa / (2 zeta) at the midpoint of its admissible
+    interval. The dimension is 2 (e1, e2) when r = 0 and 4 otherwise. zeta <= 0
+    gives the Wootters-Zurek vectors if eta = kappa = 0; otherwise, and for a
+    triple admitted only by FEASIBILITY_TOL that no unitary machine
+    approximates (kappa far above 2 sqrt(zeta)), ValueError is raised.
     """
     _require_feasible(p)
-    z, e, k = p.zeta, p.eta, p.kappa
-    if z <= 0.0:
-        q = 0.0
+    z = max(p.zeta, 0.0)
+    if z > 0.0:
+        s = math.sqrt(z)
+        a, b = p.kappa / (2 * s), p.eta / (2 * s)
+    elif p.eta == p.kappa == 0.0:
+        s, a, b = 0.0, 1.0, 0.0  # no Y vectors, Q0 = e1 and Q1 = e2: Wootters-Zurek
     else:
-        lo = (k + e) ** 2 / (4 * z) - (1 - 2 * z)
-        hi = (1 - 2 * z) - (k - e) ** 2 / (4 * z)
-        q = (lo + hi) / 2
-    gram = gram_matrix(p, q)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals = np.where(eigvals < RANK_CLAMP, 0.0, eigvals)
-    cols = np.nonzero(eigvals > 0.0)[0]
-    rows = eigvecs[:, cols] * np.sqrt(eigvals[cols])
-    spec = CloningSpec(
-        variant="explicit",
-        name="synthesized",
-        apparatus_dim=len(cols),
-        q0=rows[0],
-        q1=rows[1],
-        y0=rows[2],
-        y1=rows[3],
-    )
+        raise ValueError(f"zeta <= 0 leaves no Y vectors for eta = {p.eta}, kappa = {p.kappa}")
+    r = math.sqrt(max(1.0 - 2.0 * z - a * a - b * b, 0.0))
+    rows = np.array([[r, a, b, 0.0], [0.0, b, a, r], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0]])
+    if r == 0.0:
+        rows = rows[:, 1:3]
+    spec = CloningSpec(variant="explicit", name="synthesized", apparatus_dim=rows.shape[1],
+                       q0=rows[0], q1=rows[1], y0=rows[2], y1=rows[3])
     _require_unitary(spec)
     return spec
 
 
 def meridional_spec() -> CloningSpec:
-    """The machine optimal for the Eastern meridian: 0.90 <= F <= 0.95.
-
-    Its apparatus vectors Y0 = (1/sqrt(10), 0), Y1 = (0, 1/sqrt(10)),
-    Q0 = Q1 = (sqrt(2/5), sqrt(2/5)) span a two-dimensional space and
-    realize (zeta, eta, kappa) = (1/10, 2/5, 2/5).
-    """
-    r10 = 1.0 / np.sqrt(10.0)
-    r25 = np.sqrt(2.0 / 5.0)
-    return CloningSpec(
-        variant="explicit",
-        name="meridional",
-        apparatus_dim=2,
-        q0=np.array([r25, r25]),
-        q1=np.array([r25, r25]),
-        y0=np.array([r10, 0.0]),
-        y1=np.array([0.0, r10]),
-    )
+    """The machine optimal for the Eastern meridian, 0.90 <= F <= 0.95: synthesize
+    at (1/10, 2/5, 2/5), with Y0 = (1/sqrt(10), 0), Y1 = (0, 1/sqrt(10)) and
+    Q0 = Q1 = (sqrt(2/5), sqrt(2/5))."""
+    return replace(synthesize(BHParams(0.1, 0.4, 0.4)), name="meridional")
 
 
 def wootters_zurek_spec() -> CloningSpec:
-    """The basis-copying machine: exact on |0> and |1>, F = 1 - sin^2(theta)/2."""
-    return CloningSpec(
-        variant="explicit",
-        name="wootters-zurek",
-        apparatus_dim=2,
-        q0=np.array([1.0, 0.0]),
-        q1=np.array([0.0, 1.0]),
-        y0=np.zeros(2),
-        y1=np.zeros(2),
-    )
+    """The basis-copying machine, synthesize at (0, 0, 0): exact on |0> and
+    |1>, F = 1 - sin^2(theta)/2."""
+    return replace(synthesize(BHParams(0.0, 0.0, 0.0)), name="wootters-zurek")
 
 
 def channel_spec(fidelity: float, name: str = "") -> CloningSpec:

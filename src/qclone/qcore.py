@@ -3,11 +3,12 @@
 A pure qubit is its amplitude pair (alpha, beta), and bloch_amplitudes is
 the one way to describe qubits by Bloch angles. The batched functions
 (bloch_amplitudes, fidelities, check_qubit_densities) work on plain array
-stacks and are all the clone-marginal kernel and the CLI use; _unit_pairs
-is the one rule for input amplitude pairs. DensityMatrix, to_density,
-partial_trace and fidelity are a per-state layer the package does not
-export. All values are immutable after construction (arrays are
-write-locked) and all operations are pure functions.
+stacks and are all the clone-marginal kernel and the CLI use; _numbers is
+the one rule for what an input array may hold and _unit_pairs the one rule
+for input amplitude pairs. DensityMatrix, to_density, partial_trace and
+fidelity are a per-state layer the package does not export. All values are
+immutable after construction (arrays are write-locked) and all operations
+are pure functions.
 
 Conventions:
     * Bloch angles (theta, phi) give the amplitudes
@@ -26,20 +27,29 @@ import numpy as np
 HERM_TOL = 1e-12  # |rho - rho^H|, |Im| of <s|rho|s> and of Tr(G rho); worst 1.2e-16
 TRACE_TOL = 1e-12  # |Tr rho - 1|, |POVM row sum - 1|; worst 4.5e-16
 PSD_TOL = -1e-10  # how far an eigenvalue of rho may lie outside [0, 1]; worst 8.9e-16
-UNITARITY_TOL = 1e-10  # |residual| of each unitarity condition on a spec; worst 2.2e-15
+UNITARITY_TOL = 1e-10  # |residual| of each unitarity condition on a spec; worst 4.5e-16
 JOINT_NORM_TOL = 1e-8  # |norm - 1| of an input amplitude pair; worst 2.3e-16
 UNIT_CUT = 1e-15  # a pair whose |norm - 1| exceeds this is divided by its norm; worst 2.3e-16
-FEASIBILITY_TOL = 1e-12  # how far a triple may lie outside the realizable region; worst 2.0e-15
-RANK_CLAMP = 1e-12  # Gram eigenvalues that synthesize sets to zero; worst 9.0e-16
+FEASIBILITY_TOL = 1e-12  # how far a triple may lie outside the realizable region; worst 4.5e-16
 BOUNDARY_TOL = 1e-6  # distance of an active bound from an optimum; worst 0, inactive >= 0.1
+
+
+def _numbers(values, dtype, what: str) -> np.ndarray:
+    """values as an array of dtype (float or complex128), not copied when it
+    already is one. Integers and floats are numbers, complex ones too for
+    complex128; bools, strings and other objects raise ValueError."""
+    arr, real = np.asarray(values), dtype is float
+    if arr.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{what} must be {'real ' * real}numbers, got {arr.dtype} values")
+    return arr.astype(dtype, copy=False)
 
 
 def check_bloch_angles(theta, phi):
     """Bloch angles as float arrays broadcast against each other, after
-    checking that every angle is finite with theta in [0, pi] and phi in
-    [0, 2*pi); raises ValueError otherwise."""
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                     np.asarray(phi, dtype=float))
+    checking that every angle is a real number (_numbers), finite, with
+    theta in [0, pi] and phi in [0, 2*pi); raises ValueError otherwise."""
+    theta, phi = np.broadcast_arrays(_numbers(theta, float, "angles"),
+                                     _numbers(phi, float, "angles"))
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise ValueError("angles must be finite")
     bad = (theta < 0.0) | (theta > np.pi)
@@ -140,7 +150,7 @@ def fidelity(amps, rho: DensityMatrix) -> float:
     s that bloch_amplitudes(theta, phi) returns, and a single-qubit mixed
     state: fidelities for one pair, under its amplitude rule. Anything but
     one pair and one qubit state is a ValueError."""
-    s = np.asarray(amps, dtype=np.complex128)
+    s = np.asarray(amps)
     if s.shape != (2,):
         raise ValueError(f"fidelity needs one amplitude pair, got shape {s.shape}")
     if rho.dims != (2,):
@@ -149,10 +159,10 @@ def fidelity(amps, rho: DensityMatrix) -> float:
 
 
 def _unit_pairs(amps) -> np.ndarray:
-    """Amplitude stacks (..., 2) as complex pairs of norm 1. A pair whose norm
-    is NaN or off 1 by more than JOINT_NORM_TOL is a ValueError; one off by
-    more than UNIT_CUT is divided by its norm."""
-    s = np.asarray(amps, dtype=np.complex128)
+    """Amplitude stacks (..., 2) of numbers (_numbers) as complex pairs of
+    norm 1. A pair whose norm is NaN or off 1 by more than JOINT_NORM_TOL is
+    a ValueError; one off by more than UNIT_CUT is divided by its norm."""
+    s = _numbers(amps, np.complex128, "input amplitudes")
     if s.shape[-1:] != (2,):
         raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
     norm = np.sqrt(np.sum(s.real ** 2 + s.imag ** 2, axis=-1))

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from qclone.machines import (
     clone,
     feasible,
     fidelity_closed_form,
-    gram_matrix,
     load_spec,
     marginals,
     meridional_spec,
@@ -66,17 +67,6 @@ def test_bhparams_rejects_non_finite():
             BHParams(*args)
     p = BHParams(np.float32(0.5), np.int64(0), 0)
     assert (p.zeta, p.eta, p.kappa) == (0.5, 0.0, 0.0) and type(p.eta) is float
-
-
-def test_gram_matrix_layout():
-    g = gram_matrix(BHParams(0.1, 0.4, 0.3), 0.25)
-    assert g.shape == (4, 4)
-    np.testing.assert_allclose(g, g.T)
-    np.testing.assert_allclose(np.diag(g), [0.8, 0.8, 0.1, 0.1])
-    assert g[0, 1] == 0.25
-    assert g[0, 2] == 0.15 and g[1, 3] == 0.15   # kappa/2
-    assert g[0, 3] == 0.2 and g[1, 2] == 0.2     # eta/2
-    assert g[2, 3] == 0.0
 
 
 # --- unitarity validation ---------------------------------------------------
@@ -131,7 +121,7 @@ def test_synthesize_random_feasible_roundtrip():
     rng = np.random.default_rng(11)
     for p in _random_feasible(rng, 25):
         spec = synthesize(p)
-        assert spec.apparatus_dim <= 4
+        assert spec.apparatus_dim in (2, 4)
         assert validate_unitarity(spec).passed
         q = spec.bh_params()
         assert q.zeta == pytest.approx(p.zeta, abs=1e-10)
@@ -146,13 +136,14 @@ def test_synthesize_random_feasible_roundtrip():
 def test_boundary_machines_round_trip_realizable():
     """Triples on the Gram boundary (the two optima, seeded draws, and the
     eta = 0 and kappa = 0 axes) synthesize, and their read-backs stay
-    realizable and equal to the input."""
+    realizable and equal to the input. Both optima are two-dimensional."""
     rng = np.random.default_rng(2024)
     zs = rng.uniform(0.0, 0.5, 400)
     radii = 2.0 * np.sqrt(zs * (1.0 - 2.0 * zs))
     angles = rng.uniform(0.0, np.pi / 2, 400)
-    triples = [(r.params.zeta, r.params.eta, r.params.kappa)
-               for r in (optimize_equal_fidelity(), optimize_average())]
+    optima = [r.params for r in (optimize_equal_fidelity(), optimize_average())]
+    assert [synthesize(p).apparatus_dim for p in optima] == [2, 2]
+    triples = [(p.zeta, p.eta, p.kappa) for p in optima]
     triples += list(zip(zs, radii * np.cos(angles), radii * np.sin(angles)))
     triples += [(z, 0.0, r) for z, r in zip(zs, radii)]
     triples += [(z, r, 0.0) for z, r in zip(zs, radii)]
@@ -171,6 +162,63 @@ def test_synthesize_degenerate_zeta_zero():
     spec = synthesize(BHParams(0.0, 0.0, 0.0))
     assert validate_unitarity(spec).passed
     assert np.allclose(spec.y0, 0.0) and np.allclose(spec.y1, 0.0)
+
+
+def _vectors(spec):
+    return [getattr(spec, attr) for attr in ("q0", "q1", "y0", "y1")]
+
+
+def test_synthesize_reads_back_a_tiny_zeta():
+    p = BHParams(1e-14, 0.0, 1e-7)
+    back = synthesize(p).bh_params()
+    np.testing.assert_allclose([back.zeta, back.eta, back.kappa], [p.zeta, p.eta, p.kappa],
+                               rtol=1e-12, atol=0.0)
+
+
+def test_synthesize_at_zeta_zero_carries_no_eta_or_kappa():
+    """At zeta -> 0 the Y vectors vanish. A triple there that only
+    FEASIBILITY_TOL admits, with kappa far above 2 sqrt(zeta), is refused;
+    with eta = kappa = 0 it is the Wootters-Zurek machine."""
+    for triple in ((0.0, 0.0, 1e-7), (1e-20, 0.0, 1e-7)):
+        assert feasible(BHParams(*triple))
+        with pytest.raises(ValueError):
+            synthesize(BHParams(*triple))
+    spec = synthesize(BHParams(-1e-13, 0.0, 0.0))
+    assert spec.apparatus_dim == 2
+    for got, want in zip(_vectors(spec), _vectors(wootters_zurek_spec())):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_builtins_are_the_paper_vectors_bit_for_bit():
+    """The built-ins are synthesize at their triples; their vectors are the
+    literals behind every golden, bit for bit."""
+    r25, r10 = np.sqrt(2 / 5), 1 / np.sqrt(10.0)
+    literals = {
+        meridional_spec(): [[r25, r25], [r25, r25], [r10, 0.0], [0.0, r10]],
+        wootters_zurek_spec(): [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+    }
+    for spec, vectors in literals.items():
+        assert spec.apparatus_dim == 2
+        for got, want in zip(_vectors(spec), vectors):
+            assert got.tobytes() == np.array(want, dtype=complex).tobytes(), spec.name
+    assert (meridional_spec().name, wootters_zurek_spec().name) == ("meridional",
+                                                                    "wootters-zurek")
+
+
+def test_no_numerical_decomposition_outside_the_per_state_layer():
+    """Every explicit machine is built in closed form: src/qclone names no
+    numpy.linalg routine outside qcore.DensityMatrix, the per-state layer."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "qclone").glob("*.py"))
+    assert paths, "no package source found"
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   and (path.stem, cls.name) == ("qcore", "DensityMatrix")
+                   for node in ast.walk(cls)}
+        found = [node.lineno for node in ast.walk(tree) if id(node) not in allowed and (
+            isinstance(node, ast.Attribute) and node.attr == "linalg"
+            or isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node))]
+        assert not found, f"{path.name} uses linalg at lines {found}"
 
 
 # --- cloning ----------------------------------------------------------------

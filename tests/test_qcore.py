@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from qclone.b92 import info_curve
+from qclone.machines import marginals, meridional_spec
 from qclone.qcore import (
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
     bloch_amplitudes,
+    check_bloch_angles,
     check_qubit_densities,
     fidelities,
     fidelity,
@@ -54,6 +57,35 @@ def test_bloch_amplitudes_batch_formula_poles_and_domain():
                                (np.nan, 0.0), (1.0, np.inf)):
         with pytest.raises(ValueError):
             bloch_amplitudes(bad_theta, bad_phi)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (bloch_amplitudes, ("0.5",), "angles must be real numbers"),
+    (bloch_amplitudes, (True,), "angles must be real numbers"),
+    (bloch_amplitudes, (np.array([0.5 + 2j]),), "angles must be real numbers"),
+    (marginals, (meridional_spec(), [True, False]), "input amplitudes must be numbers"),
+    (fidelity, ([True, False], DensityMatrix((2,), np.diag([0.9, 0.1]))),
+     "input amplitudes must be numbers"),
+    (info_curve, (meridional_spec(), ["0.5"]), "overlaps must be real numbers"),
+    (info_curve, (meridional_spec(), [0.5 + 0.1j]), "overlaps must be real numbers"),
+], ids=["angle-string", "angle-bool", "angle-complex", "amplitude-bools", "fidelity-bools",
+        "overlap-string", "overlap-complex"])
+def test_array_inputs_must_be_numbers(call, args, message):
+    """Angles, amplitudes and overlaps follow one rule: integer and float
+    arrays (and complex ones for amplitudes) are cast, anything else is a
+    ValueError, never a silent cast or a dropped imaginary part."""
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+
+
+def test_array_inputs_that_are_numbers_are_taken_without_a_copy():
+    theta = np.linspace(0.0, np.pi, 7)
+    checked, _ = check_bloch_angles(theta, 0.0)
+    assert np.shares_memory(checked, theta)
+    assert np.array_equal(bloch_amplitudes(np.arange(3), np.float32(1)),
+                          bloch_amplitudes([0.0, 1.0, 2.0], 1.0))
+    assert np.array_equal(marginals(meridional_spec(), [1, 0]),
+                          marginals(meridional_spec(), np.array([1.0 + 0j, 0.0])))
 
 
 def test_fidelities_match_vdot_and_clip():

@@ -6,7 +6,7 @@ the realizability boundary and the inputs behind the goldens) the worst
 value that a tolerance bounds is at most the worst value its comment
 states, and that lies strictly inside the bound. Tightness: an input just
 past the bound is treated as past it (refused with the documented message,
-or, for the cut, the clamp and the boundary flag, decided the other way)
+or, for the cut and the boundary flag, decided the other way)
 and one just inside it is accepted.
 """
 
@@ -28,7 +28,6 @@ from qclone.machines import (
     feasible,
     fidelity_closed_form,
     gram_margin,
-    gram_matrix,
     marginals,
     meridional_spec,
     synthesize,
@@ -44,7 +43,7 @@ from qclone.qcore import (
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qclone"
 TOLERANCES = ("HERM_TOL", "TRACE_TOL", "PSD_TOL", "UNITARITY_TOL", "JOINT_NORM_TOL",
-              "UNIT_CUT", "FEASIBILITY_TOL", "RANK_CLAMP", "BOUNDARY_TOL")
+              "UNIT_CUT", "FEASIBILITY_TOL", "BOUNDARY_TOL")
 
 
 # --- real inputs -------------------------------------------------------------
@@ -123,18 +122,6 @@ def _feasibility(real):
     return max(0.0, *outside)
 
 
-def _rank(real):
-    # the Gram eigenvalues that the synthesized vectors leave out; the ones
-    # they keep are real structure, far above the clamp
-    dropped, kept = [0.0], []
-    for p, spec in real.boundary:
-        eigs = np.linalg.eigvalsh(gram_matrix(p, np.vdot(spec.q0, spec.q1).real))
-        dropped += list(np.abs(eigs[:4 - spec.apparatus_dim]))
-        kept.append(eigs[4 - spec.apparatus_dim])
-    assert min(kept) > 1e6 * qcore.RANK_CLAMP
-    return max(dropped)
-
-
 def _boundary(real):
     # distances of the two optima from each bound; the active ones sit on it
     # and the others are far
@@ -151,7 +138,7 @@ def _boundary(real):
 
 NEED = {"HERM_TOL": _herm, "TRACE_TOL": _trace, "PSD_TOL": _psd,
         "UNITARITY_TOL": _unitarity, "JOINT_NORM_TOL": _norm, "UNIT_CUT": _norm,
-        "FEASIBILITY_TOL": _feasibility, "RANK_CLAMP": _rank, "BOUNDARY_TOL": _boundary}
+        "FEASIBILITY_TOL": _feasibility, "BOUNDARY_TOL": _boundary}
 
 
 # --- tightness: probes that take the bounded value d ---------------------------
@@ -195,15 +182,6 @@ def _unit_marginal(pair):
     return np.array_equal(marginals(spec, pair), marginals(spec, np.array([1.0, 0.0])))
 
 
-def _rank_kept(d):
-    """Whether synthesize keeps a Gram eigenvalue d as a dimension. Near the
-    meridional machine, at (1/10, t, t) with t^2 = 4/25 - e, the Gram matrix
-    at synthesize's overlap has the small eigenvalues 5 e and, to rounding,
-    e / 3.4; the second is set to d, and the first stays far above it."""
-    t2 = 0.16 - 3.4 * d
-    return synthesize(BHParams(0.1, np.sqrt(t2), np.sqrt(t2))).apparatus_dim == 4
-
-
 _flags = optimizer._boundary_flags
 
 
@@ -244,7 +222,6 @@ TIGHT = {
         lambda d: not feasible(BHParams(0.1, -d, 0.0)),
         lambda d: not feasible(BHParams(0.1, 0.0, -d)),
     ],
-    "RANK_CLAMP": [_rank_kept],
     "BOUNDARY_TOL": [
         lambda d: not _flags(BHParams(d, 0.0, 0.0))["zeta_lower"],
         lambda d: not _flags(BHParams(0.5 - d, 0.0, 0.0))["zeta_upper"],
