@@ -42,18 +42,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .qcore import HERM_TOL, TRACE_TOL, _numbers, _perp, _projectors, bloch_amplitudes, fidelities
+from .qcore import HERM_TOL, TRACE_TOL, _integer, _numbers, _perp, _projectors, _real
+from .qcore import bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps b92.fidelity)
-from .machines import CloningSpec, _integer, _real, marginals
+from .machines import CloningSpec, marginals
 from .machines import clone  # noqa: F401  (bench/tracer.py wraps b92.clone)
 
 CHUNK_TRIALS = 1 << 15  # trials simulated per block of variates
 
 
 def _check_vartheta(vartheta) -> float:
-    """vartheta as a float, if it is a real number in (0, pi/2]; ValueError otherwise."""
+    """vartheta as a float, if it is a real number (_real) in (0, pi/2]; ValueError otherwise."""
     vt = _real(vartheta, "vartheta")
-    if not np.isfinite(vt) or not 0.0 < vt <= np.pi / 2:
+    if not 0.0 < vt <= np.pi / 2:
         raise ValueError(f"vartheta must lie in (0, pi/2], got {vt}")
     return vt
 

@@ -65,13 +65,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import FEASIBILITY_TOL, UNITARITY_TOL, DensityMatrix, _perp, _projectors
-from .qcore import _unit_pairs, check_bloch_angles, check_qubit_densities
+from .qcore import FEASIBILITY_TOL, UNITARITY_TOL, DensityMatrix, _integer, _numbers, _perp
+from .qcore import _projectors, _real, _unit_pairs, check_bloch_angles, check_qubit_densities
 from .qcore import partial_trace  # noqa: F401  (bench/tracer.py wraps machines.partial_trace)
 from .qcore import to_density  # noqa: F401  (bench/tracer.py wraps machines.to_density)
 
@@ -84,8 +83,8 @@ class BHParams:
     """Apparatus inner products (zeta, eta, kappa) of an explicit machine.
 
     The valid domain is the realizability region checked by feasible();
-    construction itself only requires finite real numbers (not bools) so
-    that arbitrary triples can be queried.
+    construction itself only requires finite real numbers (qcore._real, so
+    not bools) so that arbitrary triples can be queried.
     """
 
     zeta: float
@@ -94,10 +93,7 @@ class BHParams:
 
     def __post_init__(self):
         for field in ("zeta", "eta", "kappa"):
-            value = _real(getattr(self, field), field)
-            if not np.isfinite(value):
-                raise ValueError("machine parameters must be finite")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, _real(getattr(self, field), field))
 
 
 def gram_margin(zeta, eta, kappa):
@@ -125,24 +121,6 @@ def _require_feasible(p: BHParams) -> None:
             "realizable: kappa^2 + eta^2 must not exceed 4*zeta*(1 - 2*zeta)")
 
 
-def _real(value, what: str) -> float:
-    """A real number as a float; bools, strings, complex numbers and ints too
-    large for a float are refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is out of range") from None
-
-
-def _integer(value, message: str, lo=-math.inf, hi=math.inf) -> int:
-    """An integer in [lo, hi] as an int; anything else, bools too, raises ValueError(message)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
-        raise ValueError(message)
-    return int(value)
-
-
 def _has_control(text: str) -> bool:
     """Whether text holds a control character (Unicode category Cc), which
     would break a report line."""
@@ -158,10 +136,11 @@ class CloningSpec:
     clone marginal to F |s><s| + (1-F) |s_perp><s_perp|. Construction
     is the one check of every field's type, shape and range (name a string
     without control characters, which would break a report line,
-    apparatus_dim an integer, fidelity a real number, vector entries
-    numbers; bools, strings and None are never numbers) and raises
-    ValueError for anything else; the unitarity equalities are checked by
-    validate_unitarity so that near-miss specs can be diagnosed.
+    apparatus_dim an integer, fidelity a real number and vector entries
+    numbers, by qcore's _integer, _real and _numbers) and raises ValueError
+    for anything else. The vectors are stored as write-locked copies. The
+    unitarity equalities are checked by validate_unitarity so that near-miss
+    specs can be diagnosed.
     """
 
     variant: str
@@ -186,17 +165,9 @@ class CloningSpec:
                 vec = getattr(self, attr)
                 if vec is None:
                     raise ValueError(f"explicit spec is missing vector {attr}")
-                entries = np.array(vec, dtype=object)
-                if entries.shape != (d,):
-                    raise ValueError(f"{attr} must have length {d}, got {entries.shape}")
-                if any(isinstance(x, bool) or not isinstance(x, numbers.Number) for x in entries):
-                    raise ValueError(f"{attr} must be a vector of numbers")
-                try:
-                    arr = entries.astype(np.complex128)
-                except OverflowError:
-                    raise ValueError(f"{attr} is out of range") from None
-                if not np.all(np.isfinite(arr.view(np.float64))):
-                    raise ValueError(f"{attr} has non-finite entries")
+                arr = _numbers(vec, np.complex128, attr).copy()
+                if arr.shape != (d,):
+                    raise ValueError(f"{attr} must have length {d}, got {arr.shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, attr, arr)
             if self.clone_fidelity is not None:
@@ -412,9 +383,9 @@ def fidelity_closed_form(p: BHParams, theta, phi):
 def spec_from_dict(doc: dict) -> CloningSpec:
     """Build a spec from a parsed machine file. Only the file's own rule is
     checked here, that each vector is a list of [re, im] pairs of real
-    numbers; the variant's fields go to CloningSpec, which raises ValueError
-    for any that is missing or malformed. Fields the variant does not take
-    are ignored."""
+    numbers (qcore._numbers); the variant's fields go to CloningSpec, which
+    raises ValueError for any that is missing or malformed. Fields the
+    variant does not take are ignored."""
     if not isinstance(doc, dict):
         raise ValueError("machine file must be a mapping")
     variant = doc.get("variant")
@@ -422,11 +393,10 @@ def spec_from_dict(doc: dict) -> CloningSpec:
     if variant == "explicit":
         fields["apparatus_dim"] = doc.get("apparatus_dim")
         for key in (k for k in ("Q0", "Q1", "Y0", "Y1") if k in doc):
-            pairs, what = doc[key], f"field {key}"
-            if not isinstance(pairs, list) or not all(
-                    isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-                raise ValueError(f"{what} must be a list of [re, im] pairs")
-            fields[key.lower()] = [complex(_real(re, what), _real(im, what)) for re, im in pairs]
+            pairs = _numbers(doc[key], float, f"field {key}")
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ValueError(f"field {key} must be a list of [re, im] pairs")
+            fields[key.lower()] = [complex(re, im) for re, im in pairs]
     elif variant == "channel":
         fields["clone_fidelity"] = doc.get("fidelity")
     return CloningSpec(**fields)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machines import BHParams, _integer, _require_feasible, gram_margin
-from .qcore import BOUNDARY_TOL, FEASIBILITY_TOL
+from .machines import BHParams, _require_feasible, gram_margin
+from .qcore import BOUNDARY_TOL, FEASIBILITY_TOL, _integer
 
 _FOUR_OVER_PI = 4.0 / np.pi
 

@@ -1,14 +1,14 @@
-"""Dense linear algebra for small Hilbert spaces.
+"""Dense linear algebra for small Hilbert spaces, and the package's input rules.
 
 A pure qubit is its amplitude pair (alpha, beta), and bloch_amplitudes is
 the one way to describe qubits by Bloch angles. The batched functions
 (bloch_amplitudes, fidelities, check_qubit_densities) work on plain array
-stacks and are all the clone-marginal kernel and the CLI use; _numbers is
-the one rule for what an input array may hold and _unit_pairs the one rule
-for input amplitude pairs. DensityMatrix, to_density, partial_trace and
-fidelity are a per-state layer the package does not export. All values are
-immutable after construction (arrays are write-locked) and all operations
-are pure functions.
+stacks and are all the clone-marginal kernel and the CLI use. The input
+rules are _numbers for every number (_real for one), _integer for counts,
+seeds and indices, and _unit_pairs for amplitude pairs. DensityMatrix,
+to_density, partial_trace and fidelity are a per-state layer the package
+does not export. All operations are pure functions; only a DensityMatrix's
+matrix and a CloningSpec's vectors are write-locked.
 
 Conventions:
     * Bloch angles (theta, phi) give the amplitudes
@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,23 +36,51 @@ BOUNDARY_TOL = 1e-6  # distance of an active bound from an optimum; worst 0, ina
 
 
 def _numbers(values, dtype, what: str) -> np.ndarray:
-    """values as an array of dtype (float or complex128), not copied when it
-    already is one. Integers and floats are numbers, complex ones too for
-    complex128; bools, strings and other objects raise ValueError."""
-    arr, real = np.asarray(values), dtype is float
-    if arr.dtype.kind not in ("iuf" if real else "iufc"):
-        raise ValueError(f"{what} must be {'real ' * real}numbers, got {arr.dtype} values")
-    return arr.astype(dtype, copy=False)
+    """values as a finite array of dtype (float or complex128). An integer or
+    float ndarray (complex too for complex128) is taken without a copy; any
+    other input is walked entry by entry, and a bool (numpy's too), string,
+    None or other object raises ValueError even among numbers, as do an
+    integer too large for a float and a value that is not finite."""
+    real = dtype is float
+    if isinstance(values, np.ndarray) and values.dtype.kind in ("iuf" if real else "iufc"):
+        arr = values.astype(dtype, copy=False)
+    else:
+        entries = np.asarray(values, dtype=object)
+        kind, noun = (numbers.Real, "real number") if real else (numbers.Complex, "number")
+        for x in entries.flat:
+            if isinstance(x, bool) or not isinstance(x, kind):
+                noun = f"{noun}s" if entries.ndim else f"a {noun}"
+                raise ValueError(f"{what} must be {noun}, got {type(x).__name__}")
+        try:
+            arr = entries.astype(dtype)
+        except OverflowError:
+            raise ValueError(f"{what} is out of range") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _real(value, what: str) -> float:
+    """One real number, by _numbers' rule, as a float."""
+    arr = _numbers(value, float, what)
+    if arr.ndim:
+        raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
+    return float(arr)
+
+
+def _integer(value, message: str, lo=-np.inf, hi=np.inf) -> int:
+    """An integer in [lo, hi] as an int; anything else, bools too, raises ValueError(message)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(message)
+    return int(value)
 
 
 def check_bloch_angles(theta, phi):
     """Bloch angles as float arrays broadcast against each other, after
-    checking that every angle is a real number (_numbers), finite, with
+    checking that every angle is a finite real number (_numbers), with
     theta in [0, pi] and phi in [0, 2*pi); raises ValueError otherwise."""
     theta, phi = np.broadcast_arrays(_numbers(theta, float, "angles"),
                                      _numbers(phi, float, "angles"))
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
-        raise ValueError("angles must be finite")
     bad = (theta < 0.0) | (theta > np.pi)
     if np.any(bad):
         raise ValueError(f"theta must lie in [0, pi], got {float(theta[bad].flat[0])}")
@@ -89,11 +118,9 @@ class DensityMatrix:
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid subsystem dimensions {dims}")
         size = int(np.prod(dims))
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
+        mat = _numbers(self.matrix, np.complex128, "matrix entries").copy()
         if mat.shape != (size, size):
             raise ValueError(f"expected a {size}x{size} matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("matrix entries must be finite")
         herm = np.max(np.abs(mat - mat.conj().T))
         if herm > HERM_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm:.3e})")
@@ -110,11 +137,9 @@ class DensityMatrix:
 
 
 def to_density(dims, amplitudes) -> DensityMatrix:
-    """Rank-1 projector |a><a| of the amplitude vector a over subsystems of
-    the given dimensions. DensityMatrix checks the result, so a vector of
-    the wrong length, with a non-finite entry or whose norm is not 1 (the
-    trace tolerance) is refused with ValueError."""
-    a = np.asarray(amplitudes, dtype=np.complex128)
+    """Rank-1 projector |a><a| of the amplitude vector a (_numbers) over
+    subsystems of the given dimensions, checked by DensityMatrix."""
+    a = _numbers(amplitudes, np.complex128, "amplitudes")
     return DensityMatrix(dims, np.outer(a, a.conj()))
 
 
@@ -160,13 +185,13 @@ def fidelity(amps, rho: DensityMatrix) -> float:
 
 def _unit_pairs(amps) -> np.ndarray:
     """Amplitude stacks (..., 2) of numbers (_numbers) as complex pairs of
-    norm 1. A pair whose norm is NaN or off 1 by more than JOINT_NORM_TOL is
-    a ValueError; one off by more than UNIT_CUT is divided by its norm."""
+    norm 1. A pair whose norm is off 1 by more than JOINT_NORM_TOL is a
+    ValueError; one off by more than UNIT_CUT is divided by its norm."""
     s = _numbers(amps, np.complex128, "input amplitudes")
     if s.shape[-1:] != (2,):
         raise ValueError(f"amplitudes must have a last axis of length 2, got shape {s.shape}")
     norm = np.sqrt(np.sum(s.real ** 2 + s.imag ** 2, axis=-1))
-    far = ~(np.abs(norm - 1.0) <= JOINT_NORM_TOL)  # NaN counts as far
+    far = np.abs(norm - 1.0) > JOINT_NORM_TOL
     if np.any(far):
         raise ValueError(f"input amplitudes {s[far][0]} have norm {norm[far][0]}, "
                          f"not 1 within {JOINT_NORM_TOL}")

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .qcore import _integer
+
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -57,20 +59,20 @@ def trial_uniforms(seed: int, n: int, draw, start: int = 0) -> np.ndarray:
 
     `draw` is one draw slot, giving shape (n,), or a sequence of k slots,
     giving shape (k, n) with row i for slot draw[i]. Any split of a trial
-    range, and any grouping of slots, reproduces the same values."""
-    n, start = int(n), int(start)
-    if n < 0:
-        raise ValueError(f"trial count must be non-negative, got {n}")
-    if start < 0:
-        raise ValueError(f"first trial index must be non-negative, got {start}")
-    slots = np.atleast_1d(draw)
-    if np.any(slots < 0):
-        raise ValueError(f"draw slots must be non-negative, got {draw}")
-    keys = _counter(np.arange(start, start + n, dtype=np.uint64),
-                    np.uint64(int(seed) & _MASK))
+    range, and any grouping of slots, reproduces the same values. Every
+    argument is an integer (qcore._integer; a float, string or bool raises
+    ValueError): n, start, slots >= 0, start + n and slots < 2**64, seed mod 2**64."""
+    seed = _integer(seed, f"seed must be an integer, got {seed!r}")
+    n = _integer(n, f"trial count must be a non-negative integer, got {n!r}", 0)
+    start = _integer(start, f"first trial index must be a non-negative integer with "
+                            f"start + n < 2**64, got {start!r}", 0, _MASK - n)
+    slots = np.array([_integer(s, f"draw slots must be non-negative integers below 2**64, "
+                                  f"got {draw!r}", 0, _MASK)
+                      for s in np.atleast_1d(np.asarray(draw, dtype=object))], dtype=np.uint64)
+    keys = _counter(np.arange(start, start + n, dtype=np.uint64), np.uint64(seed & _MASK))
     tmp = np.empty_like(keys)
     _mix64(keys, tmp)  # output `trial` of the seed's sequence
-    steps = _counter(slots.astype(np.uint64), np.uint64(0))
+    steps = _counter(slots, np.uint64(0))
     words = np.empty((len(slots), n), dtype=np.uint64)
     for row, step in zip(words, steps):
         np.add(keys, step, out=row)

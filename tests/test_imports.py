@@ -4,7 +4,8 @@
 an import that nothing else in the module uses must carry `noqa: F401` and
 name the `bench/tracer.py` TARGETS entry that wraps it. A deletion that
 leaves a dead import then fails here, and the tracer-only imports stay an
-exact list of what the tracer still pins.
+exact list of what the tracer still pins. The input rules for numbers live
+in `qcore` alone, which a second guard checks.
 """
 
 import ast
@@ -112,3 +113,24 @@ def test_per_state_layer_stays_unexported_and_unused():
                 assert "noqa: F401" in lines[lineno - 1], f"{path.stem} imports {name} for use"
         uses = list(_per_state_uses(ast.parse(source)))
         assert not uses, f"{path.stem} uses the per-state layer at {uses}"
+
+
+def test_number_rules_live_in_qcore():
+    """qcore's _numbers, _real and _integer are the package's only rules for
+    what a number is: only qcore (input rules) and textio (output formatting)
+    import `numbers`, no other module calls `isfinite`, and no other module
+    defines a rule of the same name."""
+    rules = {"_numbers", "_real", "_integer"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.stem
+        if module not in ("qcore", "textio"):
+            assert "numbers" not in {name for name, _ in _imports(tree)}, module
+        if module == "qcore":
+            continue
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id == "isfinite"
+                 or isinstance(node, ast.Attribute) and node.attr == "isfinite"]
+        assert not calls, f"{module} checks finiteness itself at lines {calls}"
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & rules, f"{module} defines {defined & rules}"

@@ -319,13 +319,14 @@ def test_explicit_spec_rejects_non_number_entries(attr, entries):
 def test_explicit_spec_accepts_numeric_vectors():
     base = meridional_spec()
     r10 = 1.0 / np.sqrt(10.0)
+    y1 = np.array([0.0, r10], dtype=np.complex128)
     spec = CloningSpec(variant="explicit", apparatus_dim=2, q0=base.q0.real,
-                       q1=list(base.q1), y0=[complex(r10), 0j],
-                       y1=np.array([0.0, r10], dtype=np.complex128))
+                       q1=list(base.q1), y0=[complex(r10), 0j], y1=y1)
     for attr in ("q0", "q1", "y0", "y1"):
         vec = getattr(spec, attr)
         assert vec.dtype == np.complex128 and not vec.flags.writeable
         np.testing.assert_array_equal(vec, getattr(base, attr))
+    assert y1.flags.writeable  # the spec locks its own copy, never the caller's array
     assert CloningSpec(variant="explicit", apparatus_dim=2, q0=base.q0.astype(np.complex64),
                        q1=[1, 0], y0=np.zeros(2, dtype=np.int64), y1=[0.0, 0j]).q1[0] == 1
 

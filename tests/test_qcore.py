@@ -60,20 +60,29 @@ def test_bloch_amplitudes_batch_formula_poles_and_domain():
 
 
 @pytest.mark.parametrize("call, args, message", [
-    (bloch_amplitudes, ("0.5",), "angles must be real numbers"),
-    (bloch_amplitudes, (True,), "angles must be real numbers"),
+    (bloch_amplitudes, ("0.5",), "angles must be a real number"),
+    (bloch_amplitudes, (True,), "angles must be a real number"),
     (bloch_amplitudes, (np.array([0.5 + 2j]),), "angles must be real numbers"),
     (marginals, (meridional_spec(), [True, False]), "input amplitudes must be numbers"),
     (fidelity, ([True, False], DensityMatrix((2,), np.diag([0.9, 0.1]))),
      "input amplitudes must be numbers"),
     (info_curve, (meridional_spec(), ["0.5"]), "overlaps must be real numbers"),
     (info_curve, (meridional_spec(), [0.5 + 0.1j]), "overlaps must be real numbers"),
+    (bloch_amplitudes, ([True, 0.5],), "angles must be real numbers"),
+    (marginals, (meridional_spec(), [[True, 0]]), "input amplitudes must be numbers"),
+    (fidelities, ([[1, False]], np.eye(2) / 2), "input amplitudes must be numbers"),
+    (DensityMatrix, ((2,), [[True, False], [False, False]]), "matrix entries must be numbers"),
+    (to_density, ((2,), [True, False]), "amplitudes must be numbers"),
 ], ids=["angle-string", "angle-bool", "angle-complex", "amplitude-bools", "fidelity-bools",
-        "overlap-string", "overlap-complex"])
+        "overlap-string", "overlap-complex", "angle-bool-among-numbers",
+        "amplitude-bool-among-numbers", "fidelities-bool-among-numbers", "density-bools",
+        "to-density-bools"])
 def test_array_inputs_must_be_numbers(call, args, message):
-    """Angles, amplitudes and overlaps follow one rule: integer and float
-    arrays (and complex ones for amplitudes) are cast, anything else is a
-    ValueError, never a silent cast or a dropped imaginary part."""
+    """Angles, amplitudes, overlaps and matrix entries follow one rule:
+    integer and float arrays (and complex ones for amplitudes and matrices)
+    are cast, and any other input is walked entry by entry, so a bool or a
+    string is a ValueError even among numbers, never a silent cast or a
+    dropped imaginary part."""
     with pytest.raises(ValueError, match=message):
         call(*args)
 

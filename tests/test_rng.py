@@ -93,3 +93,16 @@ def test_multi_slot_call_equals_single_slot_rows(seed, start, n, slots):
 def test_negative_draw_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         rng.trial_uniforms(1, 10, (0, -1))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n": 2.7}, {"seed": 0.9}, {"start": 1.5}, {"draw": True}, {"draw": [0, "1"]},
+    {"draw": [0, True]}, {"n": "3"}, {"start": 2 ** 64 - 1},
+], ids=["n-float", "seed-float", "start-float", "draw-bool", "draw-string", "draw-bool-slot",
+        "n-string", "range-past-uint64"])
+def test_arguments_must_be_integers(kwargs):
+    """seed, n, start and every draw slot are integers, never cast: a float,
+    a string or a bool is a ValueError, not truncated or taken as 0 or 1, and
+    so is a trial range that runs past 2**64."""
+    with pytest.raises(ValueError, match="integer"):
+        rng.trial_uniforms(**{"seed": 0, "n": 5, "draw": 0, "start": 0, **kwargs})
