@@ -13,7 +13,6 @@ from .machines import (
     BHParams,
     BUILTIN_MACHINES,
     CloningSpec,
-    ValidationReport,
     builtin_spec,
     channel_spec,
     feasible,
@@ -51,7 +50,6 @@ __all__ = [
     "CloningSpec",
     "OptimizationResult",
     "ProtocolRun",
-    "ValidationReport",
     "attack_analysis",
     "average_fidelity",
     "bloch_amplitudes",

@@ -134,7 +134,7 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore"):
         post = 0.5 * probs / q[:, None]
         terms = np.where(post > 0.0, post * np.log2(post), 0.0)
-    qh = np.where(q > 0.0, -q * terms.sum(axis=1), 0.0)  # q_mu H_mu
+    qh = -q * terms.sum(axis=1)  # q_mu H_mu; where q_mu = 0 every term is 0
     info = np.clip(1.0 - qh[:, 0] - qh[:, 1] - qh[:, 2], 0.0, 1.0)
     info[np.all(probs[:, 0] == probs[:, 1], axis=1)] = 0.0
     if spec.variant == "channel":

@@ -132,27 +132,28 @@ def _resolve_machine(token: str, allow_none: bool = False) -> tuple:
         spec = machines.builtin_spec(token)
     else:
         spec = _read_spec(token)
-        if spec.variant == "explicit":
-            try:
-                machines._require_unitary(spec)
-            except ValueError as exc:
-                raise SpecFileError(f"machine file {token!r}: {exc}") from exc
     label = spec.name or Path(token).stem
     return spec, "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in label)
 
 
 def _cmd_validate(args):
-    spec = _read_spec(args.spec)
-    items = [("file", args.spec), ("name", spec.name), ("variant", spec.variant)]
-    if spec.variant == "channel":
-        items += [("fidelity", spec.clone_fidelity), ("passed", "true")]
-        return items, 0
-    report = machines.validate_unitarity(spec)
-    items.append(("apparatus_dim", spec.apparatus_dim))
-    items += [(f"residual_{k}", v) for k, v in report.residuals.items()]
-    items += [("tolerance", machines.UNITARITY_TOL),
-              ("passed", "true" if report.passed else "false")]
-    return items, 0 if report.passed else 1
+    try:
+        spec = _read_spec(args.spec)
+    except SpecFileError as exc:
+        cause = exc.__cause__  # a refusal for unitarity alone keeps the report's fields
+        if not isinstance(cause, machines.NotUnitary):
+            raise
+        name, dim, residuals, passed = cause.name, cause.apparatus_dim, cause.residuals, False
+    else:
+        if spec.variant == "channel":
+            return [("file", args.spec), ("name", spec.name), ("variant", "channel"),
+                    ("fidelity", spec.clone_fidelity), ("passed", "true")], 0
+        name, dim, passed = spec.name, spec.apparatus_dim, True
+        residuals = machines.validate_unitarity(spec)
+    items = [("file", args.spec), ("name", name), ("variant", "explicit"), ("apparatus_dim", dim)]
+    items += [(f"residual_{k}", v) for k, v in residuals.items()]
+    items += [("tolerance", machines.UNITARITY_TOL), ("passed", "true" if passed else "false")]
+    return items, 0 if passed else 1
 
 
 def _cmd_fidelity(args):

@@ -138,9 +138,10 @@ class CloningSpec:
     without control characters, which would break a report line,
     apparatus_dim an integer, fidelity a real number and vector entries
     numbers, by qcore's _integer, _real and _numbers) and raises ValueError
-    for anything else. The vectors are stored as write-locked copies. The
-    unitarity equalities are checked by validate_unitarity so that near-miss
-    specs can be diagnosed.
+    for anything else. The vectors are stored as write-locked copies. Once
+    its fields pass, an explicit spec must be a unitary machine: a residual
+    of validate_unitarity beyond UNITARITY_TOL raises NotUnitary, so every
+    explicit spec that exists is one.
     """
 
     variant: str
@@ -172,6 +173,9 @@ class CloningSpec:
                 object.__setattr__(self, attr, arr)
             if self.clone_fidelity is not None:
                 raise ValueError("explicit spec does not take clone_fidelity")
+            residuals = validate_unitarity(self)
+            if not all(abs(r) <= UNITARITY_TOL for r in residuals.values()):
+                raise NotUnitary(self.name, d, residuals)
         elif self.variant == "channel":
             f = _real(self.clone_fidelity, "channel fidelity")
             if not 0.5 <= f <= 1.0:
@@ -194,25 +198,24 @@ class CloningSpec:
         return BHParams(zeta, eta, kappa)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Named unitarity residuals of an explicit spec."""
+class NotUnitary(ValueError):
+    """An explicit spec with a unitarity residual beyond UNITARITY_TOL; keeps
+    the refused spec's name, apparatus_dim and residuals for a report."""
 
-    residuals: dict
-
-    @property
-    def passed(self) -> bool:
-        """Whether every residual magnitude is within UNITARITY_TOL."""
-        return all(abs(r) <= UNITARITY_TOL for r in self.residuals.values())
+    def __init__(self, name: str, apparatus_dim: int, residuals: dict):
+        worst = max(residuals, key=lambda k: abs(residuals[k]))
+        super().__init__(f"spec violates unitarity: residual {worst} = {residuals[worst]:.3e}")
+        self.name, self.apparatus_dim, self.residuals = name, apparatus_dim, residuals
 
 
-def validate_unitarity(spec: CloningSpec) -> ValidationReport:
-    """Residuals of the unitarity conditions on an explicit spec.
+def validate_unitarity(spec: CloningSpec) -> dict:
+    """Named residuals of the unitarity conditions on an explicit spec.
 
-    Reports the two row-norm sums <Qi|Qi> + 2 <Yi|Yi> - 1, the
-    Y-orthogonality |<Y0|Y1>| that the cross terms between the two basis
-    rules require to vanish, and the equal-Y-norm invariant. Passes iff all
-    magnitudes are <= UNITARITY_TOL.
+    The two row-norm sums <Qi|Qi> + 2 <Yi|Yi> - 1, the Y-orthogonality
+    |<Y0|Y1>| that the cross terms between the two basis rules require to
+    vanish, and the equal-Y-norm invariant. CloningSpec refuses a spec with
+    any magnitude above UNITARITY_TOL, so for a spec that exists each is
+    within it.
     """
     if spec.variant != "explicit":
         raise ValueError("validate_unitarity applies to explicit specs only")
@@ -227,7 +230,7 @@ def validate_unitarity(spec: CloningSpec) -> ValidationReport:
         "y_orthogonality": abs(y0y1),
         "y_norm_balance": yy0 - yy1,
     }
-    return ValidationReport(residuals)
+    return residuals
 
 
 def synthesize(p: BHParams) -> CloningSpec:
@@ -255,10 +258,8 @@ def synthesize(p: BHParams) -> CloningSpec:
     rows = np.array([[r, a, b, 0.0], [0.0, b, a, r], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0]])
     if r == 0.0:
         rows = rows[:, 1:3]
-    spec = CloningSpec(variant="explicit", name="synthesized", apparatus_dim=rows.shape[1],
+    return CloningSpec(variant="explicit", name="synthesized", apparatus_dim=rows.shape[1],
                        q0=rows[0], q1=rows[1], y0=rows[2], y1=rows[3])
-    _require_unitary(spec)
-    return spec
 
 
 def meridional_spec() -> CloningSpec:
@@ -303,24 +304,16 @@ def clone(spec: CloningSpec, amps) -> DensityMatrix:
     return DensityMatrix((2,), marginals(spec, amps))
 
 
-def _require_unitary(spec: CloningSpec) -> None:
-    report = validate_unitarity(spec)
-    if not report.passed:
-        worst = max(report.residuals, key=lambda k: abs(report.residuals[k]))
-        raise ValueError(
-            f"spec violates unitarity: residual {worst} = {report.residuals[worst]:.3e}")
-
-
 def marginals(spec: CloningSpec, amps) -> np.ndarray:
     """One clone's reduced states (..., 2, 2) for inputs alpha|0> + beta|1>
     given as amplitude stacks (..., 2), such as bloch_amplitudes returns.
 
     Every pair must have norm 1 within JOINT_NORM_TOL and is divided by it
     when off by more than UNIT_CUT, before either variant uses it. Explicit
-    variant: the Gram formulas of the module docstring, after one unitarity
-    validation of the spec. Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
-    Every result passes check_qubit_densities (finite, unit trace,
-    eigenvalues in [0, 1]) or a ValueError is raised.
+    variant: the Gram formulas of the module docstring (CloningSpec has
+    checked unitarity). Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
+    Every result passes check_qubit_densities (finite, unit trace, no
+    negative eigenvalue) or a ValueError is raised.
     """
     s = _unit_pairs(amps)
     alpha, beta = s[..., 0], s[..., 1]
@@ -328,7 +321,6 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
         f = spec.clone_fidelity
         mats = f * _projectors(s) + (1 - f) * _projectors(_perp(s))
     else:
-        _require_unitary(spec)
         vecs = np.stack([spec.q0, spec.q1, spec.y0, spec.y1])
         g = vecs.conj() @ vecs.T  # g[i, j] = <v_i|v_j>, order (Q0, Q1, Y0, Y1)
         a2 = alpha.real ** 2 + alpha.imag ** 2
@@ -340,10 +332,11 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
                + beta.conj() * (alpha * g[1, 2] + beta * g[1, 3]))
         norm2 = r00 + r11
         mats = np.empty(alpha.shape + (2, 2), dtype=np.complex128)
-        mats[..., 0, 0] = r00 / norm2
-        mats[..., 0, 1] = r01 / norm2
-        mats[..., 1, 0] = r01.conj() / norm2
-        mats[..., 1, 1] = r11 / norm2
+        with np.errstate(invalid="ignore"):  # a NaN is check_qubit_densities' to refuse
+            mats[..., 0, 0] = r00 / norm2
+            mats[..., 0, 1] = r01 / norm2
+            mats[..., 1, 0] = r01.conj() / norm2
+            mats[..., 1, 1] = r11 / norm2
     check_qubit_densities(mats)
     return mats
 

@@ -124,8 +124,8 @@ def test_criterion_04_simulation_equals_closed_forms():
 
 
 def test_criterion_05_unitarity_and_feasibility_oracle():
-    report = validate_unitarity(meridional_spec())
-    ok = all(abs(r) <= 1e-12 for r in report.residuals.values())
+    residuals = validate_unitarity(meridional_spec())
+    ok = all(abs(r) <= 1e-12 for r in residuals.values())
 
     rng = np.random.default_rng(20260814)
     n = 1_000_000

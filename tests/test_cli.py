@@ -241,6 +241,17 @@ def test_validate_failing_spec_exits_1(tmp_path):
     res = qclone("validate", "--spec", str(bad))
     assert res.returncode == 1
     assert "passed=false" in res.stdout
+    # every other command refuses the file as invalid, in one line
+    for argv in (["fidelity", "--machine", str(bad)],
+                 ["b92", "analyze", "--machine", str(bad), "--vartheta", "0.7"],
+                 ["b92", "simulate", "--machine", str(bad), "--vartheta", "0.7", "--n", "9",
+                  "--seed", "1"],
+                 ["b92", "curve", "--machines", f"meridional,{bad}", "--overlap-min", "0.1",
+                  "--overlap-max", "0.9", "--points", "3"]):
+        res = qclone(*argv)
+        assert (res.returncode, res.stdout) == (1, ""), argv
+        assert res.stderr == (f"error: invalid machine file {str(bad)!r}: spec violates "
+                              "unitarity: residual y_orthogonality = 1.000e-01\n"), argv
 
 
 def test_fidelity_csv_shape_and_header():

@@ -134,3 +134,31 @@ def test_number_rules_live_in_qcore():
         assert not calls, f"{module} checks finiteness itself at lines {calls}"
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & rules, f"{module} defines {defined & rules}"
+
+
+def _scoped_nodes(node, scope=""):
+    """(qualified name of the innermost enclosing function or class, node)
+    for every node under `node`; "" at module level."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}".lstrip(".")
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
+
+
+def test_unitarity_is_checked_at_construction_only():
+    """CloningSpec.__post_init__ is the one unitarity check: in src/qclone,
+    validate_unitarity is called only there and by the `validate` command's
+    report (cli._cmd_validate), and UNITARITY_TOL is compared only in
+    machines."""
+    calls, compares = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "validate_unitarity" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(f"{path.stem}.{scope}")
+            if isinstance(node, ast.Compare) and "UNITARITY_TOL" in ast.unparse(node):
+                compares.append(path.stem)
+    assert sorted(calls) == ["cli._cmd_validate", "machines.CloningSpec.__post_init__"], calls
+    assert compares == ["machines"], compares

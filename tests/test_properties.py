@@ -4,8 +4,11 @@ Machines are synthesized from a drawn realizable (zeta, eta, kappa) and then
 have their apparatus vectors turned by a drawn complex unitary, which keeps
 the Gram matrix (so every single-clone figure) and gives the spec complex
 entries. The same properties are checked on those machines after a round
-trip through a spec file. Examples stay few and small so the module runs in
-a few seconds.
+trip through a spec file. General unitary machines, whatever CloningSpec
+accepts, have Gram matrices no synthesized machine has (the two signals'
+discrepancies differ, and <Y0|Y1> may be up to UNITARITY_TOL); they are
+checked against the brute-force oracles. Examples stay few and small so the
+module runs in a few seconds.
 """
 
 import tempfile
@@ -17,9 +20,11 @@ from hypothesis import strategies as st
 
 from qclone import b92
 from qclone.b92 import attack_analysis
-from qclone.machines import (BHParams, CloningSpec, builtin_spec, channel_spec, load_spec,
-                             marginals, save_spec, synthesize)
+from qclone.machines import (UNITARITY_TOL, BHParams, CloningSpec, builtin_spec, channel_spec,
+                             load_spec, marginals, save_spec, synthesize)
 from qclone.qcore import bloch_amplitudes, fidelities
+
+import oracles
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -27,6 +32,9 @@ varthetas = st.floats(0.0, np.pi / 2, exclude_min=True)
 bloch_inputs = st.tuples(  # eight Bloch inputs as (thetas, phis)
     st.lists(st.floats(0.0, np.pi), min_size=8, max_size=8),
     st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True), min_size=8, max_size=8))
+edge_overlaps = st.lists(  # signals within 1e-12 of orthogonal or of coinciding
+    st.one_of(st.floats(0.0, 1e-12, exclude_min=True),
+              st.floats(1 - 1e-12, 1.0, exclude_max=True)), min_size=1, max_size=20)
 
 
 @st.composite
@@ -44,6 +52,38 @@ def rotated_machines(draw):
                        q0=unitary @ base.q0, q1=unitary @ base.q1,
                        y0=unitary @ base.y0, y1=unitary @ base.y1)
     return base, spec
+
+
+def _unitary_machine(d, zeta, overlap, seed):
+    """A unitary explicit machine in d dimensions: Y0 and Y1 orthogonal with
+    |Y|^2 = zeta in random complex directions, then <Y0|Y1> moved to
+    `overlap` times a random phase by a component of Y1 along Y0 (which
+    moves |Y1|^2 by overlap^2 / zeta only), and Q0 and Q1 random with
+    norm^2 1 - 2 zeta."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    s = np.sqrt(zeta)
+    y0, y1 = s * basis[:, 0], s * basis[:, 1]
+    if overlap:
+        y1 = y1 + overlap / s * np.exp(2j * np.pi * rng.uniform()) * basis[:, 0]
+    q0, q1 = (np.sqrt(1 - 2 * zeta) * v / np.linalg.norm(v)
+              for v in rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)))
+    return CloningSpec(variant="explicit", name="unitary", apparatus_dim=d,
+                       q0=q0, q1=q1, y0=y0, y1=y1)
+
+
+@st.composite
+def unitary_machines(draw):
+    """General unitary machines; some with <Y0|Y1> up to UNITARITY_TOL."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    zeta = draw(st.floats(0.0, 0.5))
+    overlap = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99))) * UNITARITY_TOL
+    return _unitary_machine(d, zeta, overlap if zeta >= 0.01 else 0.0,
+                            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# D_u and D_v differ here (0.199 and 0.195 at vartheta = 0.3); <Y0|Y1> is 0.9 UNITARITY_TOL
+UNEVEN = _unitary_machine(4, 0.15, 0.9 * UNITARITY_TOL, 0)
 
 
 @SETTINGS
@@ -84,11 +124,46 @@ def test_marginals_are_states_and_depend_only_on_the_gram_matrix(machines, angle
 
 
 @SETTINGS
-@given(st.one_of(rotated_machines().map(lambda pair: pair[1]),
+@given(st.one_of(rotated_machines().map(lambda pair: pair[1]), unitary_machines(),
                  st.floats(0.5, 1.0).map(channel_spec)),
-       varthetas, bloch_inputs)
-def test_fidelity_information_and_discrepancy_lie_in_the_unit_interval(spec, vt, angles):
+       varthetas, bloch_inputs, edge_overlaps)
+def test_fidelity_information_and_discrepancy_lie_in_the_unit_interval(spec, vt, angles,
+                                                                       overlaps):
     _assert_figures_in_the_unit_interval(spec, vt, bloch_amplitudes(*angles))
+    figures = b92.info_curve(spec, overlaps)[:, 1:]  # (I, D) at the edge overlaps
+    assert np.all((figures >= 0.0) & (figures <= 1.0))
+
+
+@SETTINGS
+@given(unitary_machines(), bloch_inputs)
+@example(UNEVEN, ([0.3, 0.9, 1.6, 2.2, 0.7, 2.9, 1.2, 0.1], [0, 1, 2, 3, 4, 5, 6, 0.5]))
+def test_marginals_of_unitary_machines_match_the_bruteforce_oracle(spec, angles):
+    got = marginals(spec, bloch_amplitudes(*angles))
+    vectors = (spec.q0, spec.q1, spec.y0, spec.y1)
+    for theta, phi, rho in zip(*angles, got):
+        want = oracles.clone_bruteforce(vectors, *oracles.qubit_amplitudes(theta, phi))
+        assert np.max(np.abs(rho - want)) <= 1e-12
+
+
+@SETTINGS
+@given(unitary_machines(), varthetas)
+@example(UNEVEN, 0.3)
+def test_attack_on_unitary_machines_matches_the_povm_oracle(spec, vt):
+    """Outcome tables (their rounding noise clipped into [0, 1], as the
+    package clips it), I (oracles.mutual_information_from_tables) and D, the
+    larger of the two signals' <s_perp|rho_s|s_perp>, from the oracles."""
+    vectors, ops = (spec.q0, spec.q1, spec.y0, spec.y1), oracles.povm_elements(vt)
+    tables, discrepancies = [], []
+    for s in oracles.signal_states(vt):
+        rho = oracles.clone_bruteforce(vectors, *s)
+        tables.append(np.clip([np.trace(g @ rho).real for g in ops], 0.0, 1.0))
+        s_perp = np.array([-s[1], s[0]])
+        discrepancies.append(np.vdot(s_perp, rho @ s_perp).real)
+    res = attack_analysis(spec, vt)
+    got = [res.outcome_probs[f"G{mu}"] for mu in (1, 2, 3)]  # (outcome, signal)
+    assert np.max(np.abs(np.array(got).T - tables)) <= 1e-12
+    assert abs(res.mutual_information - oracles.mutual_information_from_tables(*tables)) <= 1e-12
+    assert abs(res.discrepancy - max(discrepancies)) <= 1e-12
 
 
 @SETTINGS

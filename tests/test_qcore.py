@@ -175,6 +175,11 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # negative eigenvalue
+    # dimensions are integers, never cast: 2.7, "2" and True are not 2, 2 and 1
+    for dims in ((2.7,), ("2",), (True, 2), (np.float64(2.0),), (), (0,)):
+        with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+            DensityMatrix(dims, np.eye(2) / 2)
+    assert DensityMatrix((np.int64(2),), np.eye(2) / 2).dims == (2,)
 
 
 def test_density_matrix_is_write_locked():
@@ -219,6 +224,11 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(rho, ())
     with pytest.raises(ValueError):
         partial_trace(rho, (2,))
+    # indices are integers, never cast: 0.9 and True are not subsystem 0 or 1
+    for keep in ([0.9], [True], [np.float64(0.0)], ["0"], [-1]):
+        with pytest.raises(ValueError, match="subsystem indices"):
+            partial_trace(rho, keep)
+    assert partial_trace(rho, [np.int64(1)]).dims == (2,)
 
 
 def test_fidelity_of_state_with_itself():

@@ -17,6 +17,13 @@ def test_basic_rendering():
     assert format_float(float("nan")) == "nan"
     assert format_float(float("inf")) == "inf"
     assert format_float(-2.5e7).endswith("e+07")
+    # the positional window [1e-4, 1e6) at each edge and its neighbouring floats
+    edges = {1e-4: ("1.00000000000e-04", "0.0001", "0.0001"),
+             1e6: ("1000000", "1.00000000000e+06", "1.00000000000e+06")}
+    for edge, texts in edges.items():
+        xs = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+        assert tuple(map(format_float, xs)) == texts
+        assert tuple(format_float(-x) for x in xs) == tuple("-" + t for t in texts)
 
 
 def test_format_value_kinds():

@@ -108,7 +108,7 @@ def _psd(real):
 
 def _unitarity(real):
     return max(abs(r) for spec in real.specs if spec.variant == "explicit"
-               for r in validate_unitarity(spec).residuals.values())
+               for r in validate_unitarity(spec).values())
 
 
 def _norm(real):
@@ -164,11 +164,23 @@ def _diag(a, b):
     return np.diag([a, b]).astype(complex)
 
 
-def _y_overlap(d):
-    """The meridional machine with <Y0|Y1> = d."""
+RESIDUALS = ("row0_norm", "row1_norm", "y_orthogonality", "y_norm_balance")
+
+
+def _unitarity_residual(name, d):
+    """Constructs the meridional machine (<Qi|Qi> = 0.8, <Yi|Yi> = 0.1) with
+    the residual `name` moved to d and the other three left at rounding."""
     base = meridional_spec()
-    return CloningSpec(variant="explicit", apparatus_dim=2, q0=base.q0, q1=base.q1,
-                       y0=base.y0, y1=np.array([d * np.sqrt(10.0), base.y1[1]]))
+    q0, q1, y0, y1 = base.q0, base.q1, base.y0, base.y1
+    if name == "row0_norm":
+        q0 = np.sqrt((0.8 + d) / 0.8) * q0
+    elif name == "row1_norm":
+        q1 = np.sqrt((0.8 + d) / 0.8) * q1
+    elif name == "y_orthogonality":
+        y1 = y1 + [d * np.sqrt(10.0), 0.0]  # <Y0|Y1> = d
+    else:  # |Y1|^2 down by d, <Q1|Q1> up by 2d: row 1 still sums to 1
+        q1, y1 = np.sqrt((0.8 + 2 * d) / 0.8) * q1, np.sqrt((0.1 - d) / 0.1) * y1
+    return CloningSpec(variant="explicit", apparatus_dim=2, q0=q0, q1=q1, y0=y0, y1=y1)
 
 
 def _unit_fidelity(pair):
@@ -202,9 +214,10 @@ TIGHT = {
         lambda d: _refused("eigenvalues", DensityMatrix, (2,), _diag(1 + d, -d)),
         lambda d: _refused("eigenvalues", check_qubit_densities, _diag(1 + d, -d)),
     ],
-    "UNITARITY_TOL": [
-        lambda d: not validate_unitarity(_y_overlap(d)).passed,
-        lambda d: _refused("violates unitarity", marginals, _y_overlap(d), _PLUS),
+    "UNITARITY_TOL": [  # no spec with any residual past the bound can be constructed
+        lambda d, name=name: _refused(f"violates unitarity: residual {name} = ",
+                                      _unitarity_residual, name, d)
+        for name in RESIDUALS
     ],
     "JOINT_NORM_TOL": [
         lambda d: _refused("input amplitudes", marginals, meridional_spec(), [1 + d, 0.0]),
