@@ -40,8 +40,8 @@ The Eastern meridian is phi = 0 and the Western phi = pi; kappa > 0 favours
 the Eastern side, where cos(phi) = 1.
 
 For any input alpha|0> + beta|1> the reduced state of one clone depends
-only on the 4x4 Gram matrix G of (Q0, Q1, Y0, Y1) and on (alpha, beta).
-With C = alpha Y0 + beta Y1,
+only on (alpha, beta) and the Gram matrix G = spec.gram of (Q0, Q1, Y0, Y1),
+which CloningSpec takes once, at construction. With C = alpha Y0 + beta Y1,
 
     rho_00 = |alpha|^2 <Q0|Q0> + <C|C>
     rho_11 = |beta|^2 <Q1|Q1> + <C|C>
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,10 +138,10 @@ class CloningSpec:
     without control characters, which would break a report line,
     apparatus_dim an integer, fidelity a real number and vector entries
     numbers, by qcore's _integer, _real and _numbers) and raises ValueError
-    for anything else. The vectors are stored as write-locked copies. Once
-    its fields pass, an explicit spec must be a unitary machine: a residual
-    of validate_unitarity beyond UNITARITY_TOL raises NotUnitary, so every
-    explicit spec that exists is one.
+    for anything else. The vectors are stored as write-locked copies, as is
+    gram, their Gram matrix <v_i|v_j> (None for a channel; not an argument).
+    An explicit spec must then be a unitary machine: a residual of
+    validate_unitarity (read from gram) beyond UNITARITY_TOL raises NotUnitary.
     """
 
     variant: str
@@ -152,6 +152,7 @@ class CloningSpec:
     y0: np.ndarray | None = None
     y1: np.ndarray | None = None
     clone_fidelity: float | None = None
+    gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -173,6 +174,10 @@ class CloningSpec:
                 object.__setattr__(self, attr, arr)
             if self.clone_fidelity is not None:
                 raise ValueError("explicit spec does not take clone_fidelity")
+            vecs = np.stack([self.q0, self.q1, self.y0, self.y1])
+            gram = vecs.conj() @ vecs.T
+            gram.setflags(write=False)
+            object.__setattr__(self, "gram", gram)
             residuals = validate_unitarity(self)
             if not all(abs(r) <= UNITARITY_TOL for r in residuals.values()):
                 raise NotUnitary(self.name, d, residuals)
@@ -189,13 +194,11 @@ class CloningSpec:
             raise ValueError(f"variant must be 'explicit' or 'channel', got {self.variant!r}")
 
     def bh_params(self) -> BHParams:
-        """Extract (zeta, eta, kappa) from the apparatus vectors."""
+        """(zeta, eta, kappa) = (<Y0|Y0>, 2 <Y0|Q1>, 2 <Q0|Y0>), read from gram."""
         if self.variant != "explicit":
             raise ValueError("bh_params is only defined for explicit specs")
-        zeta = float(np.vdot(self.y0, self.y0).real)
-        eta = 2.0 * float(np.vdot(self.y0, self.q1).real)
-        kappa = 2.0 * float(np.vdot(self.q0, self.y0).real)
-        return BHParams(zeta, eta, kappa)
+        g = self.gram
+        return BHParams(g[2, 2].real, 2.0 * g[2, 1].real, 2.0 * g[0, 2].real)
 
 
 class NotUnitary(ValueError):
@@ -209,7 +212,7 @@ class NotUnitary(ValueError):
 
 
 def validate_unitarity(spec: CloningSpec) -> dict:
-    """Named residuals of the unitarity conditions on an explicit spec.
+    """Named residuals of the unitarity conditions on an explicit spec's gram.
 
     The two row-norm sums <Qi|Qi> + 2 <Yi|Yi> - 1, the Y-orthogonality
     |<Y0|Y1>| that the cross terms between the two basis rules require to
@@ -219,22 +222,17 @@ def validate_unitarity(spec: CloningSpec) -> dict:
     """
     if spec.variant != "explicit":
         raise ValueError("validate_unitarity applies to explicit specs only")
-    qq0 = np.vdot(spec.q0, spec.q0).real
-    qq1 = np.vdot(spec.q1, spec.q1).real
-    yy0 = np.vdot(spec.y0, spec.y0).real
-    yy1 = np.vdot(spec.y1, spec.y1).real
-    y0y1 = np.vdot(spec.y0, spec.y1)
-    residuals = {
-        "row0_norm": qq0 + 2 * yy0 - 1.0,
-        "row1_norm": qq1 + 2 * yy1 - 1.0,
-        "y_orthogonality": abs(y0y1),
-        "y_norm_balance": yy0 - yy1,
+    g = spec.gram
+    return {
+        "row0_norm": g[0, 0].real + 2 * g[2, 2].real - 1.0,
+        "row1_norm": g[1, 1].real + 2 * g[3, 3].real - 1.0,
+        "y_orthogonality": abs(g[2, 3]),
+        "y_norm_balance": g[2, 2].real - g[3, 3].real,
     }
-    return residuals
 
 
-def synthesize(p: BHParams) -> CloningSpec:
-    """Explicit apparatus vectors realizing (zeta, eta, kappa), in closed form.
+def synthesize(p: BHParams, name: str = "synthesized") -> CloningSpec:
+    """A spec called name whose explicit vectors realize (zeta, eta, kappa), in closed form.
 
     With s = sqrt(zeta), a = kappa / (2 s), b = eta / (2 s) and
     r = sqrt(max(1 - 2 zeta - a^2 - b^2, 0)): Y0 = s e1, Y1 = s e2,
@@ -258,7 +256,7 @@ def synthesize(p: BHParams) -> CloningSpec:
     rows = np.array([[r, a, b, 0.0], [0.0, b, a, r], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0]])
     if r == 0.0:
         rows = rows[:, 1:3]
-    return CloningSpec(variant="explicit", name="synthesized", apparatus_dim=rows.shape[1],
+    return CloningSpec(variant="explicit", name=name, apparatus_dim=rows.shape[1],
                        q0=rows[0], q1=rows[1], y0=rows[2], y1=rows[3])
 
 
@@ -266,13 +264,13 @@ def meridional_spec() -> CloningSpec:
     """The machine optimal for the Eastern meridian, 0.90 <= F <= 0.95: synthesize
     at (1/10, 2/5, 2/5), with Y0 = (1/sqrt(10), 0), Y1 = (0, 1/sqrt(10)) and
     Q0 = Q1 = (sqrt(2/5), sqrt(2/5))."""
-    return replace(synthesize(BHParams(0.1, 0.4, 0.4)), name="meridional")
+    return synthesize(BHParams(0.1, 0.4, 0.4), "meridional")
 
 
 def wootters_zurek_spec() -> CloningSpec:
     """The basis-copying machine, synthesize at (0, 0, 0): exact on |0> and
     |1>, F = 1 - sin^2(theta)/2."""
-    return replace(synthesize(BHParams(0.0, 0.0, 0.0)), name="wootters-zurek")
+    return synthesize(BHParams(0.0, 0.0, 0.0), "wootters-zurek")
 
 
 def channel_spec(fidelity: float, name: str = "") -> CloningSpec:
@@ -310,8 +308,8 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
 
     Every pair must have norm 1 within JOINT_NORM_TOL and is divided by it
     when off by more than UNIT_CUT, before either variant uses it. Explicit
-    variant: the Gram formulas of the module docstring (CloningSpec has
-    checked unitarity). Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
+    variant: the Gram formulas of the module docstring on spec.gram (unitary,
+    as CloningSpec checked). Channel variant: F |s><s| + (1-F) |s_perp><s_perp|.
     Every result passes check_qubit_densities (finite, unit trace, no
     negative eigenvalue) or a ValueError is raised.
     """
@@ -321,8 +319,7 @@ def marginals(spec: CloningSpec, amps) -> np.ndarray:
         f = spec.clone_fidelity
         mats = f * _projectors(s) + (1 - f) * _projectors(_perp(s))
     else:
-        vecs = np.stack([spec.q0, spec.q1, spec.y0, spec.y1])
-        g = vecs.conj() @ vecs.T  # g[i, j] = <v_i|v_j>, order (Q0, Q1, Y0, Y1)
+        g = spec.gram
         a2 = alpha.real ** 2 + alpha.imag ** 2
         b2 = beta.real ** 2 + beta.imag ** 2
         cc = a2 * g[2, 2].real + b2 * g[3, 3].real + 2 * (alpha.conj() * beta * g[2, 3]).real

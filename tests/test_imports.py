@@ -5,7 +5,8 @@ an import that nothing else in the module uses must carry `noqa: F401` and
 name the `bench/tracer.py` TARGETS entry that wraps it. A deletion that
 leaves a dead import then fails here, and the tracer-only imports stay an
 exact list of what the tracer still pins. The input rules for numbers live
-in `qcore` alone, which a second guard checks.
+in `qcore` alone, which a second guard checks. Further guards keep the
+unitarity check and the apparatus inner products at construction.
 """
 
 import ast
@@ -162,3 +163,23 @@ def test_unitarity_is_checked_at_construction_only():
                 compares.append(path.stem)
     assert sorted(calls) == ["cli._cmd_validate", "machines.CloningSpec.__post_init__"], calls
     assert compares == ["machines"], compares
+
+
+def test_apparatus_inner_products_are_taken_at_construction_only():
+    """CloningSpec.__post_init__ takes the Gram matrix of the apparatus
+    vectors once, as spec.gram, and everything else reads that: no module
+    names vdot, and q0, q1, y0 and y1 are read as attributes only there."""
+    vectors = {"q0", "q1", "y0", "y1"}
+    vdots, reads, at_construction = [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if "vdot" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                vdots.append(f"{path.stem}.{scope}")
+            if isinstance(node, ast.Attribute) and node.attr in vectors:
+                if f"{path.stem}.{scope}" == "machines.CloningSpec.__post_init__":
+                    at_construction.add(node.attr)
+                else:
+                    reads.append(f"{path.stem}.{scope}.{node.attr}")
+    assert not vdots, f"vdot named at {vdots}"
+    assert not reads, f"apparatus vectors read at {reads}"
+    assert at_construction == vectors, "the Gram matrix is not taken from all four vectors"

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qclone import machines
 from qclone.machines import (
     BHParams,
     BUILTIN_MACHINES,
@@ -85,21 +86,40 @@ def test_wootters_zurek_passes():
 
 
 def test_validation_flags_parallel_y_vectors():
-    """Construction refuses Y1 = Y0, and the refusal keeps what a report of
-    the refused spec shows."""
-    base = meridional_spec()
-    with pytest.raises(NotUnitary, match="residual y_orthogonality = 1.000e-01") as refused:
-        CloningSpec(variant="explicit", name="broken", apparatus_dim=2,
-                    q0=base.q0, q1=base.q1, y0=base.y0, y1=base.y0)
-    assert (refused.value.name, refused.value.apparatus_dim) == ("broken", 2)
-    residuals = refused.value.residuals
-    assert residuals["y_orthogonality"] == pytest.approx(0.1, abs=1e-15)
-    assert max(abs(residuals[k]) for k in ("row0_norm", "row1_norm", "y_norm_balance")) <= 1e-15
+    """Construction refuses Y1 = Y0, and any <Y0|Y1> != 0 by its modulus
+    whatever its phase; the refusal keeps what a report of the refused spec
+    shows."""
+    base, r10 = meridional_spec(), 1 / np.sqrt(10.0)
+    for y1, overlap in (([r10, 0.0], 0.1), ([0.5j * r10, np.sqrt(0.75) * r10], 0.05)):
+        message = f"residual y_orthogonality = {overlap:.3e}"
+        with pytest.raises(NotUnitary, match=message) as refused:
+            CloningSpec(variant="explicit", name="broken", apparatus_dim=2,
+                        q0=base.q0, q1=base.q1, y0=base.y0, y1=y1)
+        assert (refused.value.name, refused.value.apparatus_dim) == ("broken", 2)
+        residuals = refused.value.residuals
+        assert residuals["y_orthogonality"] == pytest.approx(overlap, abs=1e-15)
+        assert max(abs(residuals[k]) for k in ("row0_norm", "row1_norm", "y_norm_balance")) <= 1e-15
 
 
 def test_validate_unitarity_rejects_channel():
     with pytest.raises(ValueError):
         validate_unitarity(channel_spec(0.9))
+
+
+def test_each_builtin_is_constructed_once(monkeypatch):
+    """An explicit built-in is synthesize under its own name, one
+    construction and so one unitarity check."""
+    checked = []
+
+    def counting(spec):
+        checked.append(spec.name)
+        return validate_unitarity(spec)
+
+    monkeypatch.setattr(machines, "validate_unitarity", counting)
+    for build, name in ((meridional_spec, "meridional"), (wootters_zurek_spec, "wootters-zurek")):
+        checked.clear()
+        assert build().name == name
+        assert checked == [name]
 
 
 # --- synthesis --------------------------------------------------------------
@@ -380,12 +400,15 @@ def test_marginals_reject_a_corrupted_spec_in_a_batch():
     base = meridional_spec()
     amps = bloch_amplitudes(np.linspace(0.0, np.pi, 7), 0.3)
     # corruption after construction, past the constructor's checks, unitarity
-    # among them; the output check still refuses these two
-    nan_vector = meridional_spec()
-    object.__setattr__(nan_vector, "q0", np.array([np.nan, 0.5]))
+    # among them; the output check still refuses these two. The kernel reads
+    # the Gram matrix taken at construction, so that is what is corrupted.
+    nan_gram = meridional_spec()
+    gram = nan_gram.gram.copy()
+    gram[0, 0] = np.nan
+    object.__setattr__(nan_gram, "gram", gram)
     wide_channel = channel_spec(0.9)
     object.__setattr__(wide_channel, "clone_fidelity", 1.5)
-    batch = [base, nan_vector, wide_channel, channel_spec(0.8)]
+    batch = [base, nan_gram, wide_channel, channel_spec(0.8)]
     outcomes = []
     for spec in batch:
         try:

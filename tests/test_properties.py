@@ -12,9 +12,11 @@ module runs in a few seconds.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +86,21 @@ def unitary_machines(draw):
 
 # D_u and D_v differ here (0.199 and 0.195 at vartheta = 0.3); <Y0|Y1> is 0.9 UNITARITY_TOL
 UNEVEN = _unitary_machine(4, 0.15, 0.9 * UNITARITY_TOL, 0)
+
+
+@SETTINGS
+@given(unitary_machines())
+@example(builtin_spec("meridional"))
+@example(builtin_spec("wootters-zurek"))
+def test_gram_is_the_apparatus_inner_products_taken_once(spec):
+    """spec.gram[i, j] is np.vdot(v_i, v_j) over (Q0, Q1, Y0, Y1) bit for
+    bit; it is write-locked, and a renamed copy takes the same matrix."""
+    vectors = (spec.q0, spec.q1, spec.y0, spec.y1)
+    want = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
+    assert spec.gram.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        spec.gram[0, 0] = 0.0
+    assert replace(spec, name="renamed").gram.tobytes() == want.tobytes()
 
 
 @SETTINGS
