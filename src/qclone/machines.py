@@ -92,8 +92,8 @@ class BHParams:
     kappa: float
 
     def __post_init__(self):
-        for field in ("zeta", "eta", "kappa"):
-            object.__setattr__(self, field, _real(getattr(self, field), field))
+        for name in ("zeta", "eta", "kappa"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
 
 def gram_margin(zeta, eta, kappa):

@@ -12,7 +12,6 @@ or a line break, so plain fields print bare.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -20,10 +19,6 @@ import numpy as np
 
 def format_float(x: float) -> str:
     x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     if x == 0.0:
         return "0"
     out = f"{x:.12g}"

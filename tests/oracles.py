@@ -3,7 +3,20 @@
 Everything here is deliberately written from first principles (explicit
 Gram matrices, loop-based partial traces, scipy entropy/optimizers) and
 avoids the package's own closed forms so that agreement between the two
-is evidence, not tautology.
+is evidence, not tautology. There is one oracle for each concept:
+
+- realizability: gram_feasible_bruteforce
+- mean fidelity: average_fidelity_quadrature, and its free optimum
+  average_optimum_scalar
+- clone: clone_pair_bruteforce (clone_bruteforce keeps clone a), on
+  apparatus vectors given as data or built by apparatus_vectors
+- channel: channel_output
+- POVM: povm_elements on the signals of signal_states
+- information: mutual_information_from_tables
+- attack: attack, the per-state B92 reference (outcome tables from
+  outcome_table, I and D) for any machine that machine_output takes
+- simulation: simulate_b92_reference, one trial at a time on attack's tables
+- RNG: trial_uniform, from splitmix64
 """
 
 import numpy as np
@@ -93,36 +106,6 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
     return feasible & in_box
 
 
-# --- meridional machine, by hand ------------------------------------------
-
-_R10 = 1.0 / np.sqrt(10.0)
-_R25 = np.sqrt(2.0 / 5.0)
-
-
-def clone_meridional_bruteforce(theta, phi=0.0):
-    """Single-clone output of the meridional machine via explicit loops."""
-    alpha = np.cos(theta / 2.0)
-    beta = np.exp(1j * phi) * np.sin(theta / 2.0)
-    q_vec = np.array([_R25, _R25], dtype=complex)
-    y0 = np.array([_R10, 0.0], dtype=complex)
-    y1 = np.array([0.0, _R10], dtype=complex)
-
-    joint = np.zeros((2, 2, 2), dtype=complex)  # (clone a, clone b, apparatus)
-    for x in range(2):
-        joint[0, 0, x] += alpha * q_vec[x]
-        joint[1, 1, x] += beta * q_vec[x]
-        joint[0, 1, x] += alpha * y0[x] + beta * y1[x]
-        joint[1, 0, x] += alpha * y0[x] + beta * y1[x]
-
-    rho_a = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for ip in range(2):
-            for j in range(2):
-                for x in range(2):
-                    rho_a[i, ip] += joint[i, j, x] * np.conj(joint[ip, j, x])
-    return rho_a
-
-
 # --- information chain -----------------------------------------------------
 
 def signal_states(vartheta):
@@ -151,21 +134,6 @@ def mutual_information_from_tables(p_u, p_v):
             continue
         info -= q_mu * shannon_entropy(joint / q_mu, base=2)
     return float(info)
-
-
-def eavesdropping_oracle_meridional(vartheta):
-    """(I, D) for the meridional attack, entirely from scratch code."""
-    rho_u = clone_meridional_bruteforce(vartheta, 0.0)
-    rho_v = clone_meridional_bruteforce(np.pi - vartheta, 0.0)
-    ops = povm_elements(vartheta)
-    p_u = [float(np.trace(op @ rho_u).real) for op in ops]
-    p_v = [float(np.trace(op @ rho_v).real) for op in ops]
-    info = mutual_information_from_tables(p_u, p_v)
-
-    u, v = signal_states(vartheta)
-    d_u = 1.0 - float((u @ rho_u @ u).real)
-    d_v = 1.0 - float((v @ rho_v @ v).real)
-    return info, max(d_u, d_v)
 
 
 # --- mean fidelity and its free optimum -----------------------------------
@@ -264,13 +232,38 @@ def channel_output(fidelity, state):
             + (1.0 - fidelity) * np.outer(s_perp, s_perp.conj()))
 
 
-def machine_output(spec, state):
+def machine_output(machine, state):
     """Single-clone output on the amplitude pair `state` of a machine given
-    as data: `variant` 'channel' with `clone_fidelity`, or apparatus vectors
-    `q0`, `q1`, `y0` and `y1`."""
-    if spec.variant == "channel":
-        return channel_output(spec.clone_fidelity, state)
-    return clone_bruteforce((spec.q0, spec.q1, spec.y0, spec.y1), *state)
+    as data: a channel fidelity (a float), a (zeta, eta, kappa) triple
+    realized by apparatus_vectors, or an object with `variant` 'channel' and
+    `clone_fidelity`, or else apparatus vectors `q0`, `q1`, `y0` and `y1`."""
+    if isinstance(machine, float):
+        return channel_output(machine, state)
+    if isinstance(machine, tuple):
+        return clone_bruteforce(apparatus_vectors(*machine), *state)
+    if machine.variant == "channel":
+        return channel_output(machine.clone_fidelity, state)
+    return clone_bruteforce((machine.q0, machine.q1, machine.y0, machine.y1), *state)
+
+
+def outcome_table(vartheta, rho):
+    """Tr(G_mu rho) over Bob's three outcomes, its rounding noise clipped
+    into [0, 1] as the package clips it (unclipped, the ideal channel's
+    tables give I = inf)."""
+    return np.clip([np.trace(g @ rho).real for g in povm_elements(vartheta)], 0.0, 1.0)
+
+
+def attack(machine, vartheta):
+    """(table_u, table_v, I, D) of a cloning attack on B92 at vartheta: the
+    outcome tables of each signal's clone (machine_output), I in bits from
+    them, and D the larger of the two signals' <s_perp|rho_s|s_perp>."""
+    tables, discrepancies = [], []
+    for s in signal_states(vartheta):
+        rho = machine_output(machine, s)
+        tables.append(outcome_table(vartheta, rho))
+        s_perp = np.array([-s[1], s[0]])
+        discrepancies.append(np.vdot(s_perp, rho @ s_perp).real)
+    return (*tables, mutual_information_from_tables(*tables), max(discrepancies))
 
 
 def qubit_amplitudes(theta, phi=0.0):
@@ -297,13 +290,13 @@ def trial_uniform(seed, trial, draw):
     return (splitmix64(splitmix64(seed, trial), draw) >> 11) / 2 ** 53
 
 
-def simulate_b92_reference(rho_u, rho_v, vartheta, n, seed):
-    """(conclusive, errors) of n B92 trials, run one trial at a time.
+def simulate_b92_reference(machine, vartheta, n, seed):
+    """(conclusive, errors) of n B92 trials on attack's outcome tables, run
+    one trial at a time.
 
     Draw 0 picks the bit (>= 1/2 sends v, bit 1); draw 1 picks Bob's outcome
     by inverse CDF over (G1, G2, G3). G1 decodes as bit 1, G2 as bit 0."""
-    ops = povm_elements(vartheta)
-    tables = [[float(np.trace(op @ rho).real) for op in ops] for rho in (rho_u, rho_v)]
+    tables = attack(machine, vartheta)[:2]
     conclusive = errors = 0
     for trial in range(n):
         bit = 1 if trial_uniform(seed, trial, 0) >= 0.5 else 0

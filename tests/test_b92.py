@@ -18,11 +18,6 @@ def _povm(vt):
     return b92._povm_arrays(b92._signals(vt))
 
 
-def _oracle_probs(vt, rho):
-    """Tr(G_mu rho) for the oracle's POVM elements."""
-    return [float(np.trace(op @ rho).real) for op in oracles.povm_elements(vt)]
-
-
 def test_pair_states_and_overlap():
     u, v = b92._signals(0.6)
     assert u[0].real == pytest.approx(np.cos(0.3), abs=1e-15)
@@ -78,7 +73,7 @@ def test_outcome_probs_validation():
 def test_attack_analysis_matches_bruteforce_oracle():
     for vt in (0.3, 0.7, np.arcsin(np.sqrt(0.5)), 1.4):
         res = attack_analysis(meridional_spec(), vt)
-        i_oracle, d_oracle = oracles.eavesdropping_oracle_meridional(vt)
+        _, _, i_oracle, d_oracle = oracles.attack((0.1, 0.4, 0.4), vt)
         assert res.mutual_information == pytest.approx(i_oracle, abs=1e-12)
         assert res.discrepancy == pytest.approx(d_oracle, abs=1e-12)
 
@@ -267,16 +262,11 @@ ORACLE_SPECS = {"meridional": meridional_spec(), "equatorial": builtin_spec("equ
                 "ideal": builtin_spec("ideal"), "rotated": _rotated_machine()}
 
 
-def _oracle_marginals(spec, vt):
-    """Bob's states for the signals u and v, from the oracle's own clone."""
-    return [oracles.machine_output(spec, s) for s in oracles.signal_states(vt)]
-
-
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 @pytest.mark.parametrize("machine", list(ORACLE_SPECS))
 def test_simulation_matches_per_trial_oracle(monkeypatch, machine, seed):
     spec, vt, n = ORACLE_SPECS[machine], 0.9, 3000
-    want = oracles.simulate_b92_reference(*_oracle_marginals(spec, vt), vt, n, seed)
+    want = oracles.simulate_b92_reference(spec, vt, n, seed)
     assert want[0] > 0 and (want[1] > 0) == (machine != "ideal")
     for chunk in (7, 4096):
         monkeypatch.setattr(b92, "CHUNK_TRIALS", chunk)
@@ -291,26 +281,11 @@ ATTACK_SPECS = [meridional_spec(), builtin_spec("wootters-zurek"), builtin_spec(
                 synthesize(BHParams(0.12, 0.3, 0.25)), synthesize(BHParams(0.3, 0.2, 0.5))]
 
 
-def _reference_attack(spec, vt):
-    """The per-state chain: the oracle's marginals and POVM, scalar entropy
-    sums."""
-    u, v = oracles.signal_states(vt)
-    rho_u, rho_v = _oracle_marginals(spec, vt)
-    p_u, p_v = _oracle_probs(vt, rho_u), _oracle_probs(vt, rho_v)
-    info = 1.0
-    for a, b in zip(p_u, p_v):
-        q = 0.5 * (a + b)
-        if q > 0.0:
-            info += sum(0.5 * x / q * np.log2(0.5 * x / q) for x in (a, b) if x > 0.0) * q
-    disc = max(1.0 - (u @ rho_u @ u).real, 1.0 - (v @ rho_v @ v).real)
-    return p_u, p_v, min(max(info, 0.0), 1.0), disc
-
-
 def test_attack_analysis_matches_per_state_reference():
     for spec in ATTACK_SPECS:
         for vt in (0.05, 0.4, 0.9, 1.5):
             res = attack_analysis(spec, vt)
-            p_u, p_v, info, disc = _reference_attack(spec, vt)
+            p_u, p_v, info, disc = oracles.attack(spec, vt)
             for mu in range(3):
                 got = res.outcome_probs[f"G{mu + 1}"]
                 assert got == pytest.approx((p_u[mu], p_v[mu]), abs=1e-12)
@@ -329,7 +304,7 @@ def test_batched_outcome_probabilities_sum_to_one_and_match_oracle():
         assert probs.shape == (len(states), 3)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
         for rho, row in zip(states, probs):
-            assert _oracle_probs(vt, rho) == pytest.approx(tuple(row), abs=1e-15)
+            assert np.max(np.abs(oracles.outcome_table(vt, rho) - row)) <= 1e-15
 
 
 def test_info_curve_equals_per_vartheta_attack_analysis():

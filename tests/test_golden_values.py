@@ -41,39 +41,76 @@ def _bound(text):
     return ALLOWANCE + (0.5 * 10.0 ** (np.floor(np.log10(value)) - 11) if value else 0.0)
 
 
-def _attack_oracle(machine, overlap):
-    """(I, D) of a cloning attack at overlap O = sin^2(vartheta): Eve's and
-    Bob's outcome tables from the oracle's POVM on each signal's clone, their
-    rounding below 0 clipped (unclipped, the ideal channel's give I = inf),
-    and D the larger <s_perp|rho_s|s_perp>."""
-    vartheta = np.arcsin(np.sqrt(overlap))
-    ops = oracles.povm_elements(vartheta)
-    tables, discrepancies = [], []
-    for s in oracles.signal_states(vartheta):
-        if isinstance(machine, tuple):
-            rho = oracles.clone_bruteforce(oracles.apparatus_vectors(*machine), *s)
-        else:
-            rho = oracles.channel_output(machine, s)
-        tables.append(np.clip([np.trace(g @ rho).real for g in ops], 0.0, 1.0))
-        s_perp = np.array([-s[1], s[0]])
-        discrepancies.append(np.vdot(s_perp, rho @ s_perp).real)
-    return oracles.mutual_information_from_tables(*tables), max(discrepancies)
+def _read_csv(golden):
+    with open(GOLDEN_DIR / golden, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+# golden: (machines, overlap_min, overlap_max, points) of its b92 curve command
+CURVES = {
+    "b92_curve_five_machines_101.csv": (list(MACHINES), 0.01, 0.99, 101),
+    "b92_curve_19.csv": (["meridional", "universal", "equatorial"], 0.05, 0.95, 19),
+}
 
 
 def test_b92_curve_of_the_five_builtins_matches_the_oracles():
-    """b92 curve --machines meridional,universal,equatorial,ideal,wootters-zurek
-    --overlap-min 0.01 --overlap-max 0.99 --points 101, every I and D cell."""
-    with open(GOLDEN_DIR / "b92_curve_five_machines_101.csv", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == (["overlap"] + [f"I_{name}" for name in MACHINES]
-                      + [f"D_{name}" for name in MACHINES])
-    overlaps = np.linspace(0.01, 0.99, 101)
-    assert len(rows) == len(overlaps)
-    for row, overlap in zip(rows, overlaps):
-        cells = dict(zip(header, row))
-        assert abs(float(cells["overlap"]) - overlap) <= _bound(cells["overlap"])
-        assert cells["D_ideal"] == "0"
-        for name, machine in MACHINES.items():
-            for column, want in zip((f"I_{name}", f"D_{name}"), _attack_oracle(machine, overlap)):
-                text = cells[column]
-                assert abs(float(text) - want) <= _bound(text), (overlap, column, text)
+    """Every I and D cell of each b92 curve golden in CURVES, against oracles.attack."""
+    for golden, (names, overlap_min, overlap_max, points) in CURVES.items():
+        header, rows = _read_csv(golden)
+        assert header == (["overlap"] + [f"I_{name}" for name in names]
+                          + [f"D_{name}" for name in names])
+        overlaps = np.linspace(overlap_min, overlap_max, points)
+        assert len(rows) == len(overlaps)
+        for row, overlap in zip(rows, overlaps):
+            cells = dict(zip(header, row))
+            assert abs(float(cells["overlap"]) - overlap) <= _bound(cells["overlap"])
+            assert cells.get("D_ideal", "0") == "0"
+            for name in names:
+                info, disc = oracles.attack(MACHINES[name], np.arcsin(np.sqrt(overlap)))[2:]
+                for column, want in ((f"I_{name}", info), (f"D_{name}", disc)):
+                    text = cells[column]
+                    assert abs(float(text) - want) <= _bound(text), (golden, overlap, column, text)
+
+
+def test_b92_analyze_of_the_meridional_machine_matches_the_oracles():
+    """b92 analyze --machine meridional --vartheta 0.7: the overlap, I, D and
+    the six outcome probabilities, against oracles.attack."""
+    with open(GOLDEN_DIR / "b92_analyze_meridional.txt") as fh:
+        records = dict(line.rstrip("\n").split("=", 1) for line in fh)
+    assert (records.pop("machine"), records.pop("vartheta")) == ("meridional", "0.7")
+    u, v = oracles.signal_states(0.7)
+    table_u, table_v, info, disc = oracles.attack(MACHINES["meridional"], 0.7)
+    want = {"overlap": (u @ v) ** 2, "mutual_information": info, "discrepancy": disc}
+    for mu in range(3):
+        want[f"p_G{mu + 1}_u"], want[f"p_G{mu + 1}_v"] = table_u[mu], table_v[mu]
+    assert records.keys() == want.keys()
+    for key, text in records.items():
+        assert abs(float(text) - want[key]) <= _bound(text), (key, text)
+
+
+# golden: (points, azimuths) of its fidelity --machine meridional command; the
+# two-branch table is phi = 0 (F_east) and phi = pi (F_west)
+FIDELITY = {
+    "fidelity_meridional_181.csv": (181, (0.0, np.pi)),
+    "fidelity_meridional_1001.csv": (1001, (0.0, np.pi)),
+    "fidelity_meridional_1001_phi1.3.csv": (1001, (1.3,)),
+}
+
+
+def test_fidelity_of_the_meridional_machine_matches_the_oracles():
+    """Every theta and F cell of the fidelity goldens: F = <s|rho|s> of the
+    brute-force clone of the meridional machine's apparatus vectors."""
+    vectors = oracles.apparatus_vectors(*MACHINES["meridional"])
+    for golden, (points, phis) in FIDELITY.items():
+        header, rows = _read_csv(golden)
+        assert header == (["theta", "F_east", "F_west"] if len(phis) == 2 else ["theta", "F"])
+        thetas = np.linspace(0.0, np.pi, points)
+        assert len(rows) == len(thetas)
+        for row, theta in zip(rows, thetas):
+            want = [theta]
+            for phi in phis:
+                s = oracles.qubit_amplitudes(theta, phi)
+                want.append(np.vdot(s, oracles.clone_bruteforce(vectors, *s) @ s).real)
+            for text, value in zip(row, want, strict=True):
+                assert abs(float(text) - value) <= _bound(text), (golden, theta, text)

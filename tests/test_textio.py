@@ -16,6 +16,7 @@ def test_basic_rendering():
     assert format_float(np.pi / 2) == "1.57079632679"
     assert format_float(float("nan")) == "nan"
     assert format_float(float("inf")) == "inf"
+    assert format_float(-math.inf) == "-inf"
     assert format_float(-2.5e7).endswith("e+07")
     # the positional window [1e-4, 1e6) at each edge and its neighbouring floats
     edges = {1e-4: ("1.00000000000e-04", "0.0001", "0.0001"),
