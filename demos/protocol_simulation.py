@@ -18,14 +18,14 @@ print("workers cannot change a single outcome.\n")
 
 clean = simulate_protocol(builtin_spec("ideal"), VARTHETA, N, seed=2024)
 print(f"No eavesdropper, n = {N}, seed 2024:")
-print("  " + render_records_text(clean.records()).replace("\n", "\n  ").rstrip("  "))
+print("  " + render_records_text(clean._asdict().items()).replace("\n", "\n  ").rstrip("  "))
 print("Unambiguous discrimination never errs on intact states; the only cost")
 print(f"is the inconclusive rate near sin(vartheta) = {np.sin(VARTHETA):.4f}.\n")
 
 spec = meridional_spec()
 attacked = simulate_protocol(spec, VARTHETA, N, seed=2024)
 print("Same seed, meridional attack in the channel:")
-print("  " + render_records_text(attacked.records()).replace("\n", "\n  ").rstrip("  "))
+print("  " + render_records_text(attacked._asdict().items()).replace("\n", "\n  ").rstrip("  "))
 
 ana = attack_analysis(spec, VARTHETA)
 (p1u, p1v), (p2u, p2v), _ = (ana.outcome_probs[k] for k in ("G1", "G2", "G3"))
@@ -39,8 +39,7 @@ print("Calibration across 20 seeds (should hug the analytic values):")
 print(f"{'seed':>6} {'conclusive':>11} {'error':>9}")
 for seed in range(20):
     run = simulate_protocol(spec, VARTHETA, N, seed)
-    print(f"{seed:>6} {run.empirical_conclusive_rate:>11.5f} "
-          f"{run.empirical_error_rate:>9.5f}")
+    print(f"{seed:>6} {run.conclusive_rate:>11.5f} {run.error_rate:>9.5f}")
 
 se_c = np.sqrt(pc * (1 - pc) / N)
 print(f"\nBinomial standard error on the conclusive rate is {se_c:.5f};")

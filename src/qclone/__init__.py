@@ -27,15 +27,12 @@ from .machines import (
     wootters_zurek_spec,
 )
 from .optimizer import (
-    OptimizationResult,
     average_fidelity,
     optimize_average,
     optimize_equal_fidelity,
     scan_feasible_region,
 )
 from .b92 import (
-    AttackAnalysis,
-    ProtocolRun,
     attack_analysis,
     info_curve,
     simulate_protocol,
@@ -44,12 +41,9 @@ from .b92 import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackAnalysis",
     "BHParams",
     "BUILTIN_MACHINES",
     "CloningSpec",
-    "OptimizationResult",
-    "ProtocolRun",
     "attack_analysis",
     "average_fidelity",
     "bloch_amplitudes",

@@ -37,7 +37,7 @@ thresholds of the signal sent, looked up from 2-entry tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -103,16 +103,6 @@ def _probabilities(g_ops: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AttackAnalysis:
-    """Analytic eavesdropping figures for one machine at one vartheta."""
-
-    overlap: float
-    mutual_information: float
-    discrepancy: float
-    outcome_probs: dict
-
-
 def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     """Outcome table P_mu_i (n, 2, 3), information (n,) and discrepancy (n,)
     of a cloning attack at each of n half-angles in (0, pi/2].
@@ -144,12 +134,17 @@ def _attack(spec: CloningSpec, varthetas: np.ndarray) -> tuple:
     return probs, info, disc
 
 
-def attack_analysis(spec: CloningSpec, vartheta: float) -> AttackAnalysis:
+_Attack = namedtuple("_Attack", "overlap mutual_information discrepancy outcome_probs")
+
+
+def attack_analysis(spec: CloningSpec, vartheta: float) -> tuple:
     """Eve's mutual information and Bob's discrepancy for a cloning attack
-    at one vartheta (see _attack for the conventions)."""
+    at one vartheta (see _attack for the conventions), as the named tuple
+    (overlap, mutual_information, discrepancy, outcome_probs); outcome_probs
+    maps "G1", "G2" and "G3" to the outcome's probabilities (on u, on v)."""
     vt = _check_vartheta(vartheta)
     probs, info, disc = _attack(spec, np.array([vt]))
-    return AttackAnalysis(
+    return _Attack(
         overlap=float(np.sin(vt) ** 2),
         mutual_information=float(info[0]),
         discrepancy=float(disc[0]),
@@ -169,43 +164,11 @@ def info_curve(spec: CloningSpec, overlaps) -> np.ndarray:
     return np.column_stack([overlaps, info, disc])
 
 
-@dataclass(frozen=True)
-class ProtocolRun:
-    """Tallies of a Monte Carlo protocol run; the rates derive from them."""
-
-    seed: int
-    n_trials: int
-    conclusive: int
-    inconclusive: int
-    errors: int
-
-    def __post_init__(self):
-        if self.conclusive + self.inconclusive != self.n_trials:
-            raise ValueError("tallies do not sum to the trial count")
-        if self.errors > self.conclusive:
-            raise ValueError("more errors than conclusive outcomes")
-
-    @property
-    def empirical_conclusive_rate(self) -> float:
-        """Conclusive outcomes per trial."""
-        return self.conclusive / self.n_trials
-
-    @property
-    def empirical_error_rate(self) -> float:
-        """Errors per conclusive outcome; 0 when there is none."""
-        return (self.errors / self.conclusive) if self.conclusive else 0.0
-
-    def records(self) -> list:
-        """(key, value) pairs of the tallies, in serialization order."""
-        return [("seed", self.seed), ("n_trials", self.n_trials),
-                ("conclusive", self.conclusive), ("inconclusive", self.inconclusive),
-                ("errors", self.errors),
-                ("conclusive_rate", self.empirical_conclusive_rate),
-                ("error_rate", self.empirical_error_rate)]
+_Run = namedtuple("_Run", "seed n_trials conclusive inconclusive errors conclusive_rate "
+                         "error_rate")
 
 
-def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
-                      seed: int) -> ProtocolRun:
+def simulate_protocol(spec: CloningSpec, vartheta: float, n: int, seed: int) -> tuple:
     """Run n seeded trials of the protocol under a cloning attack.
 
     Per trial: Alice draws a uniform bit (0 -> u, 1 -> v); the state is
@@ -215,6 +178,10 @@ def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
     G3 is inconclusive. An error is a conclusive outcome decoding to the
     wrong bit. The seed must lie in [0, 2**64), the range of the RNG's seed
     word, so that no two reported seeds give the same run.
+
+    Returns the named tuple (seed, n_trials, conclusive, inconclusive,
+    errors, conclusive_rate, error_rate): the tallies, conclusive outcomes
+    per trial, and errors per conclusive outcome (0 when there is none).
     """
     vt, n, seed = _check_run(vartheta, n, seed)
     # G1 and G1+G2 thresholds, one entry per signal state (u, v)
@@ -234,10 +201,5 @@ def simulate_protocol(spec: CloningSpec, vartheta: float, n: int,
         # G1 decodes as bit 1 and G2 as bit 0, so a conclusive outcome is
         # wrong exactly when it is G2 and bit 1 was sent, or G1 and bit 0
         n_err += int(np.count_nonzero(conclusive & (past_g1 == bits)))
-    return ProtocolRun(
-        seed=seed,
-        n_trials=n,
-        conclusive=n_conc,
-        inconclusive=n - n_conc,
-        errors=n_err,
-    )
+    return _Run(seed, n, n_conc, n - n_conc, n_err, n_conc / n,
+                n_err / n_conc if n_conc else 0.0)

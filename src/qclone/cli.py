@@ -236,7 +236,7 @@ def _cmd_b92_simulate(args):
     vartheta, n, seed = b92._check_run(_angle(args.vartheta, args.degrees), args.n, args.seed)
     spec, label = _resolve_machine(args.machine, allow_none=True)
     run = b92.simulate_protocol(spec, vartheta, n, seed)
-    return [("machine", label), ("vartheta", vartheta)] + run.records(), 0
+    return [("machine", label), ("vartheta", vartheta), *run._asdict().items()], 0
 
 
 _TABLES = {"fidelity": _cmd_fidelity, "scan": _cmd_scan, "curve": _cmd_b92_curve}

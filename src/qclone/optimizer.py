@@ -32,7 +32,7 @@ Both modes have closed-form optima:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,15 +53,9 @@ def average_fidelity(p: BHParams) -> float:
     return _mean_fidelity(p.zeta, p.eta, p.kappa)
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    """Optimal machine of one mode, with its objective value and active bounds."""
-
-    params: BHParams
-    objective: float
-    mode: str
-    boundary_active: dict
-    notes: str = ""
+# the optimal machine of one mode, its objective value, which bounds are
+# active there, and notes ("" when there are none)
+_Result = namedtuple("_Result", "params objective boundary_active notes")
 
 
 def _boundary_flags(p: BHParams) -> dict:
@@ -74,7 +68,7 @@ def _boundary_flags(p: BHParams) -> dict:
     }
 
 
-def optimize_equal_fidelity() -> OptimizationResult:
+def optimize_equal_fidelity() -> tuple:
     """Best machine with equal fidelity at the three anchor states.
 
     Maximizes F(0) subject to F(0) = F(pi) = F(pi/2) on the Eastern branch
@@ -85,15 +79,10 @@ def optimize_equal_fidelity() -> OptimizationResult:
     zeta = 0.1
     eta = kappa = (1.0 - 2.0 * zeta) / 2.0
     params = BHParams(zeta, eta, kappa)
-    return OptimizationResult(
-        params=params,
-        objective=1.0 - zeta,
-        mode="equal-fidelity",
-        boundary_active=_boundary_flags(params),
-    )
+    return _Result(params, 1.0 - zeta, _boundary_flags(params), "")
 
 
-def optimize_average() -> OptimizationResult:
+def optimize_average() -> tuple:
     """Maximize the mean Eastern-meridian fidelity over the realizable set.
 
     The optimum lies on the Gram boundary at zeta* = (1 - 1/sqrt(2 c^2 + 1))/4,
@@ -111,13 +100,7 @@ def optimize_average() -> OptimizationResult:
         f"free optimum exceeds the equal-fidelity point's average {equal_point:.6f} "
         f"by {best - equal_point:.6f}; maximizing the mean does not keep the three "
         "anchor fidelities equal")
-    return OptimizationResult(
-        params=params,
-        objective=float(best),
-        mode="average",
-        boundary_active=_boundary_flags(params),
-        notes=notes,
-    )
+    return _Result(params, float(best), _boundary_flags(params), notes)
 
 
 def scan_feasible_region(grid_steps: int) -> np.ndarray:

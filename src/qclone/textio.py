@@ -3,11 +3,14 @@
 Floats carry at most 12 significant digits, positional for magnitudes in
 [1e-4, 1e6) and scientific outside that window. Twelve digits is coarse
 enough that parse -> re-emit reproduces the same bytes (the nearest double
-to a 12-digit decimal rounds back to that decimal), which keeps committed
-golden files stable across platforms. A table is a float array, so every
-cell is a format_float; records mix ints, floats and strings. CSV record
-fields are quoted per RFC 4180 only where they hold a comma, a double quote
-or a line break, so plain fields print bare.
+to a 12-digit decimal rounds back to that decimal). That is all the format
+guarantees: a value that numpy computes differently on another CPU dispatch
+path can still print differently. A b92 curve over the five built-ins at
+50,001 overlaps differs in 35 of its 750,015 cells between numpy's AVX-512
+and AVX2 paths. A table is a float array, so every cell is a format_float;
+records mix ints, floats and strings. CSV record fields are quoted per RFC
+4180 only where they hold a comma, a double quote or a line break, so plain
+fields print bare.
 """
 
 from __future__ import annotations

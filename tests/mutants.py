@@ -11,8 +11,8 @@ passes; an unmutated copy runs first and must pass. EQUIVALENT names the
 survivors known to change nothing a test could see, each with the reason.
 The run prints one line per mutant and exits 1 if a mutant outside
 EQUIVALENT survives, or if a fragment no longer occurs exactly once in its
-module (the mutant is stale). A survivor costs one full tier-1 run, about a
-minute on two cores.
+module (the mutant is stale). A survivor costs one full tier-1 run, about
+55 s on a shared two-core VM.
 
 pytest does not collect this file: its name does not match test_*.py.
 """
@@ -64,6 +64,9 @@ MUTANTS = [
     ("discrepancy-min", "b92", "disc = np.max(fidelities(", "disc = np.min(fidelities("),
     ("send-threshold", "b92", "bits = send >= 0.5", "bits = send > 0.5"),
     ("error-decoding", "b92", "(past_g1 == bits)", "(past_g1 != bits)"),
+    ("conclusive-rate", "b92", "n_conc / n,", "(n - n_conc) / n,"),
+    ("error-rate", "b92", "n_err / n_conc if", "n_err / n if"),
+    ("no-conclusive-error-rate", "b92", "if n_conc else 0.0)", "if n_conc else 1.0)"),
     # RNG, optimizer, rendering, CLI
     ("mix-shift", "rng", "((30, _M1), (27, _M2))", "((30, _M1), (26, _M2))"),
     ("float-bits", "rng", "words >>= np.uint64(11)", "words >>= np.uint64(12)"),

@@ -34,11 +34,16 @@ from scipy.stats import entropy as shannon_entropy
 #         [k/2,  e/2,  z,   0  ],
 #         [e/2,  k/2,  0,   z  ]],
 #
-# is positive semidefinite for some real overlap q. lambda_min(G(q)) is
-# concave in q (an infimum of affine functions) and 1-Lipschitz (dG/dq has
-# unit spectral norm), so a coarse grid plus golden-section refinement with
-# a Lipschitz certificate decides every sample whose margin is not
-# essentially zero.
+# is positive semidefinite for some real overlap q. By Cauchy interlacing,
+# lambda_min(G(q)) is at most the smallest eigenvalue of any principal
+# submatrix, and the 2x2 ones on (Q0, Y0) and (Q0, Y1),
+# [[1-2z, k/2], [k/2, z]] and [[1-2z, e/2], [e/2, z]], do not involve q.
+# Where either eigenvalue is below -decide_tol no q can lift lambda_min(G(q))
+# above it, so the search below would find that sample infeasible too, and
+# it is decided without one. For the rest, lambda_min(G(q)) is concave in q
+# (an infimum of affine functions) and 1-Lipschitz (dG/dq has unit spectral
+# norm), so a coarse grid plus golden-section refinement with a Lipschitz
+# certificate decides every sample whose margin is not essentially zero.
 
 def _lambda_min(z, e, k, q):
     m = z.shape[0]
@@ -64,8 +69,14 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
     z = np.asarray(zetas, dtype=float)
     e = np.asarray(etas, dtype=float)
     k = np.asarray(kappas, dtype=float)
-    n = z.shape[0]
+    answer = np.zeros(z.shape[0], dtype=bool)
     in_box = (z >= 0.0) & (z <= 0.5) & (e >= 0.0) & (k >= 0.0)
+    # only in-box samples are searched, and only where the smaller eigenvalue
+    # of the two q-free 2x2 submatrices (e, k >= 0 there) is not below -decide_tol
+    sub_min = 0.5 * ((1.0 - z) - np.hypot(1.0 - 3.0 * z, np.maximum(e, k)))
+    searched = np.nonzero(in_box & (sub_min >= -decide_tol))[0]
+    z, e, k = z[searched], e[searched], k[searched]
+    n = z.shape[0]
 
     # PSD needs |q| <= 1 - 2z (2x2 principal minor), so search that bracket.
     qmax = 1.0 - 2.0 * z
@@ -73,10 +84,12 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
     best_frac = np.zeros(n)
     fracs = np.linspace(-1.0, 1.0, coarse_points)
     for f in fracs:
-        lam = _lambda_min(z, e, k, f * qmax)
-        better = lam > best
-        best = np.where(better, lam, best)
-        best_frac = np.where(better, f, best_frac)
+        # a sample already found feasible is decided; the others go on
+        todo = np.nonzero(best < -decide_tol)[0]
+        lam = _lambda_min(z[todo], e[todo], k[todo], f * qmax[todo])
+        better = lam > best[todo]
+        best[todo] = np.where(better, lam, best[todo])
+        best_frac[todo] = np.where(better, f, best_frac[todo])
 
     spacing = (fracs[1] - fracs[0]) * qmax
     lo = np.maximum(best_frac - (fracs[1] - fracs[0]), -1.0) * qmax
@@ -84,7 +97,7 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
 
     feasible = best >= -decide_tol
     # certificate: true max <= best observed + half the unexplored width
-    undecided = ~feasible & (best + spacing > -decide_tol) & in_box
+    undecided = ~feasible & (best + spacing > -decide_tol)
     idx = np.nonzero(undecided)[0]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     it = 0
@@ -103,7 +116,8 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
         width = hi[idx] - lo[idx]
         still = ~feasible[idx] & (best[idx] + 0.5 * width > -decide_tol)
         idx = idx[still]
-    return feasible & in_box
+    answer[searched] = feasible
+    return answer
 
 
 # --- information chain -----------------------------------------------------

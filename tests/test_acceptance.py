@@ -206,13 +206,13 @@ def test_criterion_09_monte_carlo_calibration():
     within = 0
     for seed in range(100):
         run = simulate_protocol(spec, vt, n, seed)
-        if (abs(run.empirical_conclusive_rate - pc) <= 3 * se_c
-                and abs(run.empirical_error_rate - pe) <= 3 * se_e):
+        if (abs(run.conclusive_rate - pc) <= 3 * se_c
+                and abs(run.error_rate - pe) <= 3 * se_e):
             within += 1
     elapsed = time.time() - start
-    repeat = simulate_protocol(spec, vt, n, 11).records()
+    repeat = simulate_protocol(spec, vt, n, 11)
     ok = (within >= 99 and elapsed <= 60.0
-          and repeat == simulate_protocol(spec, vt, n, 11).records())
+          and repeat == simulate_protocol(spec, vt, n, 11))
     _report(9, f"Monte Carlo calibrated ({within}/100 seeds within 3 SE, "
                f"{elapsed:.1f}s)", ok)
 

@@ -149,25 +149,26 @@ def test_info_curve_meridional_discrepancy_window():
 def test_simulation_deterministic_and_consistent():
     run1 = simulate_protocol(meridional_spec(), 0.7, 20_000, 99)
     run2 = simulate_protocol(meridional_spec(), 0.7, 20_000, 99)
-    assert run1.records() == run2.records()
+    assert run1 == run2
     assert run1.conclusive + run1.inconclusive == run1.n_trials
     assert run1.errors <= run1.conclusive
     diff = simulate_protocol(meridional_spec(), 0.7, 20_000, 100)
-    assert diff.records() != run1.records()
+    assert diff != run1
 
 
 def test_simulation_no_attack_never_errs():
     run = simulate_protocol(builtin_spec("ideal"), 0.5, 50_000, 7)
     assert run.errors == 0
-    assert run.empirical_error_rate == 0.0
+    assert run.error_rate == 0.0
     # conclusive rate tracks 1 - sin(vartheta)
     expect = 1 - np.sin(0.5)
     se = np.sqrt(expect * (1 - expect) / 50_000)
-    assert abs(run.empirical_conclusive_rate - expect) < 4 * se
+    assert abs(run.conclusive_rate - expect) < 4 * se
 
 
 def test_simulation_golden_serialization():
-    text = render_records_text(simulate_protocol(builtin_spec("ideal"), 0.6, 1000, 123).records())
+    text = render_records_text(simulate_protocol(builtin_spec("ideal"), 0.6, 1000, 123)
+                               ._asdict().items())
     assert text == (
         "seed=123\n"
         "n_trials=1000\n"
@@ -177,7 +178,8 @@ def test_simulation_golden_serialization():
         "conclusive_rate=0.402\n"
         "error_rate=0\n"
     )
-    attacked = render_records_text(simulate_protocol(meridional_spec(), 0.6, 1000, 123).records())
+    attacked = render_records_text(simulate_protocol(meridional_spec(), 0.6, 1000, 123)
+                                   ._asdict().items())
     assert attacked == (
         "seed=123\n"
         "n_trials=1000\n"
@@ -190,14 +192,17 @@ def test_simulation_golden_serialization():
 
 
 def test_protocol_run_rates_derive_from_tallies():
-    run = b92.ProtocolRun(seed=1, n_trials=10, conclusive=5, inconclusive=5, errors=1)
-    assert (run.empirical_conclusive_rate, run.empirical_error_rate) == (0.5, 0.2)
-    assert run.records()[-2:] == [("conclusive_rate", 0.5), ("error_rate", 0.2)]
-    none = b92.ProtocolRun(seed=1, n_trials=3, conclusive=0, inconclusive=3, errors=0)
-    assert none.empirical_error_rate == 0.0
-    with pytest.raises(TypeError):
-        b92.ProtocolRun(seed=1, n_trials=10, conclusive=5, inconclusive=5, errors=1,
-                        empirical_conclusive_rate=0.9, empirical_error_rate=0.2)
+    """conclusive_rate is conclusive outcomes per trial and error_rate errors
+    per conclusive outcome, or 0 when no trial is conclusive: the ideal
+    channel at vartheta = pi/2, where u = v and G1 and G2 never fire."""
+    for run in (simulate_protocol(meridional_spec(), 0.7, 1000, 5),
+                simulate_protocol(builtin_spec("equatorial"), 1.1, 997, 7)):
+        assert 0 < run.errors < run.conclusive < run.n_trials
+        assert run.conclusive_rate == run.conclusive / run.n_trials
+        assert run.error_rate == run.errors / run.conclusive
+    blind = simulate_protocol(builtin_spec("ideal"), np.pi / 2, 500, 3)
+    assert (blind.conclusive, blind.inconclusive, blind.errors) == (0, 500, 0)
+    assert (blind.conclusive_rate, blind.error_rate) == (0.0, 0.0)
 
 
 def test_simulation_domain():
@@ -336,4 +341,4 @@ def test_info_curve_rejects_nan_overlap():
 ])
 def test_simulation_tallies_pinned(machine, vartheta, seed, text):
     run = simulate_protocol(builtin_spec(machine), vartheta, 100_000, seed)
-    assert render_records_text(run.records()) == text
+    assert render_records_text(run._asdict().items()) == text

@@ -4,10 +4,14 @@ A golden the CLI wrote for itself pins whatever the CLI printed, right or
 wrong. These tests recompute each cell from the oracles and require it to
 agree with the printed text within what 12 significant digits allow: half a
 unit in the cell's 12th significant digit, plus ALLOWANCE for the oracle's
-own rounding. Nothing here reads numbers from the package.
+own rounding. Counts must agree exactly, and a cell the oracle itself
+cannot pin that closely gets the wider bound its test states. Nothing here
+reads numbers from the package.
 """
 
 import csv
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +51,12 @@ def _read_csv(golden):
     return header, rows
 
 
+def _read_records(golden):
+    """key=value lines of a text-format report, as a dict of texts."""
+    with open(GOLDEN_DIR / golden) as fh:
+        return dict(line.rstrip("\n").split("=", 1) for line in fh)
+
+
 # golden: (machines, overlap_min, overlap_max, points) of its b92 curve command
 CURVES = {
     "b92_curve_five_machines_101.csv": (list(MACHINES), 0.01, 0.99, 101),
@@ -76,8 +86,7 @@ def test_b92_curve_of_the_five_builtins_matches_the_oracles():
 def test_b92_analyze_of_the_meridional_machine_matches_the_oracles():
     """b92 analyze --machine meridional --vartheta 0.7: the overlap, I, D and
     the six outcome probabilities, against oracles.attack."""
-    with open(GOLDEN_DIR / "b92_analyze_meridional.txt") as fh:
-        records = dict(line.rstrip("\n").split("=", 1) for line in fh)
+    records = _read_records("b92_analyze_meridional.txt")
     assert (records.pop("machine"), records.pop("vartheta")) == ("meridional", "0.7")
     u, v = oracles.signal_states(0.7)
     table_u, table_v, info, disc = oracles.attack(MACHINES["meridional"], 0.7)
@@ -114,3 +123,86 @@ def test_fidelity_of_the_meridional_machine_matches_the_oracles():
                 want.append(np.vdot(s, oracles.clone_bruteforce(vectors, *s) @ s).real)
             for text, value in zip(row, want, strict=True):
                 assert abs(float(text) - value) <= _bound(text), (golden, theta, text)
+
+
+def test_b92_simulate_of_the_meridional_machine_matches_the_oracles():
+    """b92 simulate --machine meridional --vartheta 0.7 --n 1000 --seed 5: the
+    tallies equal the trial-by-trial reference run exactly, and the rates
+    are their ratios."""
+    records = _read_records("b92_simulate_meridional.txt")
+    assert records.keys() == {"machine", "vartheta", "seed", "n_trials", "conclusive",
+                              "inconclusive", "errors", "conclusive_rate", "error_rate"}
+    assert [records[k] for k in ("machine", "vartheta", "seed", "n_trials")] == [
+        "meridional", "0.7", "5", "1000"]
+    conclusive, errors = oracles.simulate_b92_reference(MACHINES["meridional"], 0.7, 1000, 5)
+    assert (int(records["conclusive"]), int(records["inconclusive"]), int(records["errors"])) \
+        == (conclusive, 1000 - conclusive, errors)
+    for key, want in (("conclusive_rate", conclusive / 1000), ("error_rate", errors / conclusive)):
+        text = records[key]
+        assert abs(float(text) - want) <= _bound(text), (key, text)
+
+
+def _schur_diagonal(zeta, eta, kappa):
+    """Both diagonal entries of the Schur complement of the (Y0, Y1) block
+    zeta * 1 in the Gram matrix of (Q0, Q1, Y0, Y1) (see the block in
+    oracles.py): (1 - 2 zeta) - ((kappa/2)^2 + (eta/2)^2) / zeta, for every q.
+    The Gram matrix is PSD for some q only if this is >= 0, and at 0 it is
+    singular for every q: the triple is on the Gram boundary."""
+    return (1 - 2 * zeta) - ((kappa / 2) ** 2 + (eta / 2) ** 2) / zeta
+
+
+def _box_flags(zeta, eta, kappa):
+    """The box bounds zeta >= 0, zeta <= 1/2, eta >= 0 and kappa >= 0, each
+    active when the point is within 1e-9 of it."""
+    return {"zeta_lower": zeta <= 1e-9, "zeta_upper": abs(zeta - 0.5) <= 1e-9,
+            "eta_lower": eta <= 1e-9, "kappa_lower": kappa <= 1e-9}
+
+
+def test_optimize_equal_fidelity_is_the_paper_optimum():
+    """optimize --mode equal-fidelity: exactly (1/10, 2/5, 2/5) with F = 0.9,
+    on the Gram boundary and on no box bound."""
+    records = _read_records("optimize_equal_fidelity.txt")
+    assert records.pop("mode") == "equal-fidelity"
+    point = [Fraction(records.pop(k)) for k in ("zeta", "eta", "kappa")]
+    assert point == [Fraction(1, 10), Fraction(2, 5), Fraction(2, 5)]
+    assert Fraction(records.pop("fidelity")) == Fraction(9, 10)
+    assert _schur_diagonal(*point) == 0
+    want = {"gram": True, **_box_flags(*point)}
+    assert records == {f"boundary_{k}": str(int(on)) for k, on in want.items()}
+
+
+# The mean fidelity is flat at its maximum: with |f''| = 5.95 there, moving
+# the argument by d lowers it by 3 d^2, which stays below one unit of float
+# rounding of the mean (about 1e-16) for d up to about 6e-9. So Brent's
+# search in average_optimum_scalar can stop anywhere in that window (the
+# golden's zeta, eta and kappa sit 2.3e-9, 1.7e-9 and 2.2e-9 off it), and
+# eta and kappa move with zeta at rates 0.76 and 0.97. The three argument
+# cells are held to ARGMAX_BOUND; the fidelity cell keeps _bound.
+ARGMAX_BOUND = 1e-8
+
+
+def test_optimize_average_matches_the_scalar_oracle():
+    """optimize --mode average: the optimum of oracles.average_optimum_scalar,
+    on the Gram boundary and on no box bound, and the notes' numbers from
+    the quadrature mean of the equal-fidelity point."""
+    header, rows = _read_csv("optimize_average.csv")
+    (row,) = rows
+    cells = dict(zip(header, row, strict=True))
+    assert cells.pop("mode") == "average"
+    zeta, eta, kappa, best = oracles.average_optimum_scalar()
+    for key, want in (("zeta", zeta), ("eta", eta), ("kappa", kappa)):
+        assert abs(float(cells[key]) - want) <= ARGMAX_BOUND, (key, cells[key])
+    assert abs(float(cells["fidelity"]) - best) <= _bound(cells["fidelity"])
+    point = [float(cells.pop(k)) for k in ("zeta", "eta", "kappa")]
+    cells.pop("fidelity")
+    # each printed cell is off the optimizer's value by up to 5e-13, and the
+    # Schur diagonal moves at rates 2.67, 1.33 and 1.70 in zeta, eta and kappa
+    assert abs(_schur_diagonal(*point)) <= 1e-11
+    want = {"gram": True, **_box_flags(*point)}
+    notes = cells.pop("notes")
+    assert cells == {f"boundary_{k}": str(int(on)) for k, on in want.items()}
+    equal_point = oracles.average_fidelity_quadrature(0.1, 0.4, 0.4)
+    match = re.fullmatch(r"free optimum exceeds the equal-fidelity point's average (\S+) "
+                         r"by (\S+); maximizing the mean does not keep the three anchor "
+                         r"fidelities equal", notes)
+    assert match and match.groups() == (f"{equal_point:.6f}", f"{best - equal_point:.6f}")

@@ -45,7 +45,6 @@ def test_quadrature_matches_closed_form():
 
 def test_equal_fidelity_optimum():
     res = optimize_equal_fidelity()
-    assert res.mode == "equal-fidelity"
     assert res.params.zeta == pytest.approx(0.1, abs=1e-6)
     assert res.params.eta == pytest.approx(0.4, abs=1e-6)
     assert res.params.kappa == pytest.approx(0.4, abs=1e-6)
@@ -88,7 +87,6 @@ def test_no_realizable_machine_beats_the_meridional_worst_case():
 
 def test_average_optimum_matches_scalar_oracle():
     res = optimize_average()
-    assert res.mode == "average"
     z, e, k, f = oracles.average_optimum_scalar()
     assert res.objective == pytest.approx(f, abs=1e-9)
     assert res.objective == pytest.approx(FREE_OPT_MEAN, abs=1e-9)
