@@ -17,9 +17,9 @@ wootters-zurek, universal, equatorial, ideal) or a spec-file path; `b92
 simulate` also accepts `none` for an untouched channel (the ideal channel,
 F = 1). Every command checks its flags before it reads a machine file.
 Exit status: 0 success, 1 unreadable or invalid machine file, unwritable
-output (a closed stdout too) or a file path holding a control character
-(and `validate` on a failing spec), 2 usage or domain errors, a request
-too large for memory among them.
+output (a closed stdout too) or a file path holding a line-breaking
+character (see machines._has_control; and `validate` on a failing spec),
+2 usage or domain errors, a request too large for memory among them.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def _angle(value: float, degrees: bool) -> float:
 
 def _read_spec(path: str):
     """load_spec with its OSError and ValueError turned into SpecFileError. A
-    path holding a control character is refused unread, since reports echo
-    the path and it would break a report line."""
+    path holding a character that machines._has_control finds is refused
+    unread, since reports echo the path and it would break a report line."""
     if machines._has_control(path):
         raise SpecFileError(f"machine file path {path!r} holds a control character")
     try:

@@ -122,9 +122,10 @@ def _require_feasible(p: BHParams) -> None:
 
 
 def _has_control(text: str) -> bool:
-    """Whether text holds a control character (Unicode category Cc), which
-    would break a report line."""
-    return any(ch < " " or "\x7f" <= ch <= "\x9f" for ch in text)
+    """Whether text holds a character that would break a report line: a
+    control character (Unicode category Cc), or U+2028 LINE SEPARATOR or
+    U+2029 PARAGRAPH SEPARATOR, where str.splitlines() also breaks."""
+    return any(ch < " " or "\x7f" <= ch <= "\x9f" or ch in "\u2028\u2029" for ch in text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +136,7 @@ class CloningSpec:
     'channel' carries a single clone fidelity in [1/2, 1] and maps each
     clone marginal to F |s><s| + (1-F) |s_perp><s_perp|. Construction
     is the one check of every field's type, shape and range (name a string
-    without control characters, which would break a report line,
+    without a character that would break a report line, see _has_control,
     apparatus_dim an integer, fidelity a real number and vector entries
     numbers, by qcore's _integer, _real and _numbers) and raises ValueError
     for anything else. The vectors are stored as write-locked copies, as is

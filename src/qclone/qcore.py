@@ -8,13 +8,15 @@ rules are _numbers for every number (_real for one), _integer for counts,
 seeds and indices, and _unit_pairs for amplitude pairs. DensityMatrix,
 to_density, partial_trace and fidelity are a per-state layer the package
 does not export. All operations are pure functions; only a DensityMatrix's
-matrix and a CloningSpec's vectors are write-locked.
+matrix and a CloningSpec's vectors and gram are write-locked.
 
 Conventions:
     * Bloch angles (theta, phi) give the amplitudes
       (cos(theta/2), e^{i phi} sin(theta/2)); the |0> amplitude is real and
       non-negative by construction.
-    * Every tolerance is named once, below (validation: HERM_TOL, TRACE_TOL, PSD_TOL).
+    * Every tolerance is named once, below: validation (HERM_TOL, TRACE_TOL,
+      PSD_TOL, UNITARITY_TOL), input amplitude pairs (JOINT_NORM_TOL,
+      UNIT_CUT) and the realizable region (FEASIBILITY_TOL, BOUNDARY_TOL).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ survivors known to change nothing a test could see, each with the reason.
 The run prints one line per mutant and exits 1 if a mutant outside
 EQUIVALENT survives, or if a fragment no longer occurs exactly once in its
 module (the mutant is stale). A survivor costs one full tier-1 run, about
-55 s on a shared two-core VM.
+25 s on a shared two-core VM, and the whole probe about 13 minutes.
 
 pytest does not collect this file: its name does not match test_*.py.
 """
@@ -76,6 +76,12 @@ MUTANTS = [
     ("window-low-edge", "textio", "if 1e-4 <= abs(x) < 1e6:", "if 1e-4 < abs(x) < 1e6:"),
     ("window-high-edge", "textio", "if 1e-4 <= abs(x) < 1e6:", "if 1e-4 <= abs(x) <= 1e6:"),
     ("validate-status", "cli", "0 if passed else 1", "0"),
+    # the CLI front end, checked in process by test_cli
+    ("line-separators", "machines", ' or ch in "\\u2028\\u2029"', ""),
+    ("text-format-sep", "cli", 'sep="\\t" if args.format == "text" else ","', 'sep=","'),
+    ("points-after-machine", "cli", "def _cmd_fidelity(args):\n",
+     "def _cmd_fidelity(args):\n    _resolve_machine(args.machine)\n"),
+    ("label-keeps-spaces", "cli", 'ch in "-_."', 'ch in "-_. "'),
 ]
 
 EQUIVALENT = {

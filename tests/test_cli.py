@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,6 +8,8 @@ import resource
 import shlex
 import subprocess
 import sys
+import warnings
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,9 +23,31 @@ from qclone.textio import format_float
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
-def qclone(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "qclone", *args],
-                          capture_output=True, text=True, **kwargs)
+Result = namedtuple("Result", "returncode stdout stderr")
+
+
+def qclone(*args):
+    """`python -m qclone ARGS`, run in this process: the exit status, stdout
+    (the UTF-8 bytes the CLI wrote, decoded without newline translation) and
+    stderr, with every warning raised during the run appended to stderr as a
+    child process would print it."""
+    stdout, stderr = io.BytesIO(), io.StringIO()
+    text = io.TextIOWrapper(stdout, encoding="utf-8", newline="")
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(text), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli.run(list(args))
+    text.flush()
+    for w in caught:
+        stderr.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return Result(code, stdout.getvalue().decode("utf-8"), stderr.getvalue())
+
+
+def spawn(*args, **kwargs):
+    """`python -m qclone ARGS` in a child process, for the tests whose subject
+    is the process itself."""
+    return subprocess.run([sys.executable, "-m", "qclone", *args], capture_output=True,
+                          **kwargs)
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -53,12 +78,13 @@ def qclone(*args, **kwargs):
         "fidelity-1001", "fidelity-1001-phi", "curve-five-machines-101"])
 def test_pinned_outputs(argv, golden):
     """Byte-exact outputs; tables over about 50 KB are pinned by SHA-256 digest."""
-    res = subprocess.run([sys.executable, "-m", "qclone", *argv], capture_output=True)
-    assert res.returncode == 0 and res.stderr == b""
+    res = qclone(*argv)
+    assert res.returncode == 0 and res.stderr == ""
+    stdout = res.stdout.encode("utf-8")
     if golden.startswith("sha256:"):
-        assert hashlib.sha256(res.stdout).hexdigest() == golden.removeprefix("sha256:")
+        assert hashlib.sha256(stdout).hexdigest() == golden.removeprefix("sha256:")
     else:
-        assert res.stdout == (GOLDEN_DIR / golden).read_bytes()
+        assert stdout == (GOLDEN_DIR / golden).read_bytes()
 
 
 @pytest.mark.parametrize("corrupt, status, golden", [
@@ -72,10 +98,9 @@ def test_pinned_validate_outputs(tmp_path, corrupt, status, golden):
         doc = json.loads(path.read_text())
         doc["Y1"] = doc["Y0"]
         path.write_text(json.dumps(doc))
-    res = subprocess.run([sys.executable, "-m", "qclone", "validate", "--spec", str(path)],
-                         capture_output=True)
-    assert res.returncode == status and res.stderr == b""
-    assert res.stdout.replace(str(path).encode(), b"<spec>") == (
+    res = qclone("validate", "--spec", str(path))
+    assert res.returncode == status and res.stderr == ""
+    assert res.stdout.replace(str(path), "<spec>").encode("utf-8") == (
         GOLDEN_DIR / golden).read_bytes()
 
 
@@ -120,15 +145,10 @@ def test_missing_or_invalid_spec_file_exits_1(tmp_path):
     assert qclone("fidelity", "--machine", str(bad)).returncode == 1
 
 
-def test_flag_domains_are_checked_before_the_machine_file(tmp_path, capsys):
+def test_flag_domains_are_checked_before_the_machine_file(tmp_path):
     # a usage error is reported as such, in the words it has with a built-in
     # machine, even when the machine file (M) is missing
     missing = str(tmp_path / "missing.json")
-
-    def run(command, machine):
-        code = cli.run([machine if a == "M" else a for a in command.split()])
-        return (code, *capsys.readouterr())
-
     for command, message in (
             ("fidelity --machine M --points 1", "--points must"),
             ("fidelity --machine M --phi 99", "--phi must"),
@@ -138,42 +158,45 @@ def test_flag_domains_are_checked_before_the_machine_file(tmp_path, capsys):
             ("b92 simulate --machine M --vartheta 0.5 --n 0 --seed 1", "need at least one"),
             ("b92 simulate --machine M --vartheta 0.5 --n 5 --seed -1", "seed must"),
             ("b92 simulate --machine M --vartheta 0 --n 5 --seed 1", "vartheta must")):
-        code, out, err = run(command, missing)
+        code, out, err = qclone(*(missing if a == "M" else a for a in command.split()))
         assert code == 2 and out == "", command
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
-        assert run(command, "meridional") == (2, "", err)
+        builtin = ("meridional" if a == "M" else a for a in command.split())
+        assert qclone(*builtin) == (2, "", err)
     for command in ("fidelity --machine M --points 5",
                     "b92 analyze --machine M --vartheta 0.5",
                     "b92 simulate --machine M --vartheta 0.5 --n 5 --seed 1"):
-        code, out, err = run(command, missing)
+        code, out, err = qclone(*(missing if a == "M" else a for a in command.split()))
         assert code == 1 and out == "" and err.startswith("error: cannot read machine file")
 
 
 def test_spec_files_are_read_as_utf8_in_any_locale(tmp_path):
+    # a child process, since the locale is fixed when the interpreter starts
     path = tmp_path / "cafe.json"
     doc = {"name": "caf\u00e9", "variant": "channel", "fidelity": 0.9}
     path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
     report = tmp_path / "report.txt"
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-    res = qclone("validate", "--spec", str(path), "--out", str(report), env=env)
-    assert res.returncode == 0 and res.stderr == ""
+    res = spawn("validate", "--spec", str(path), "--out", str(report), env=env)
+    assert res.returncode == 0 and res.stderr == b""
     assert "name=caf\u00e9\n" in report.read_text(encoding="utf-8")
     # stdout gets the same UTF-8 bytes as --out, whatever the locale's encoding
     for args in (["validate", "--spec", str(path)],
                  ["b92", "analyze", "--machine", str(path), "--vartheta", "0.5"],
                  ["b92", "curve", "--machines", f"meridional,{path}", "--overlap-min",
                   "0.1", "--overlap-max", "0.9", "--points", "3"]):
-        argv = [sys.executable, "-m", "qclone", *args]
-        res = subprocess.run(argv, capture_output=True, env=env)
+        res = spawn(*args, env=env)
         assert res.returncode == 0 and res.stderr == b"", args
-        assert subprocess.run([*argv, "--out", str(report)], env=env).returncode == 0
+        assert spawn(*args, "--out", str(report), env=env).returncode == 0
         assert res.stdout == report.read_bytes()
         assert "caf\u00e9".encode("utf-8") in res.stdout
 
 
 def test_table_commands_leave_numpy_ma_unimported(tmp_path):
-    # numpy 2's np.unique without return_* flags calls np.ma.is_masked, which
-    # imports numpy.ma at a start-up cost; no table command needs it
+    # a child process, since only a fresh interpreter shows what the commands
+    # import; numpy 2's np.unique without return_* flags calls
+    # np.ma.is_masked, which imports numpy.ma at a start-up cost, and no
+    # table command needs it
     script = (
         "import sys, numpy\n"
         "preloaded = 'numpy.ma' in sys.modules\n"
@@ -305,6 +328,7 @@ def test_out_flag_writes_identical_bytes(tmp_path):
 
 
 def test_closed_stdout_is_one_error_line_and_exit_1():
+    # a child process, since only a process can start with file descriptor 1 closed
     command = f"{shlex.quote(sys.executable)} -m qclone optimize --mode average >&-"
     res = subprocess.run(["sh", "-c", command], capture_output=True, text=True)
     assert res.returncode == 1
@@ -340,17 +364,19 @@ def test_b92_curve_labels_for_spec_files(tmp_path):
 
 @pytest.mark.parametrize("name, label", [("", "mystem"), ("stored", "stored"),
                                          ("my machine", "my_machine")])
-def test_machine_label_is_the_same_in_every_command(tmp_path, capsys, name, label):
+def test_machine_label_is_the_same_in_every_command(tmp_path, name, label):
     path = str(tmp_path / "mystem.json")
     save_spec(replace(meridional_spec(), name=name), path)
     for argv in (["b92", "analyze", "--machine", path, "--vartheta", "0.5"],
                  ["b92", "simulate", "--machine", path, "--vartheta", "0.5",
                   "--n", "10", "--seed", "1"]):
-        assert cli.run(argv) == 0
-        assert capsys.readouterr().out.split("\n")[0] == f"machine={label}"
-    assert cli.run(["b92", "curve", "--machines", path, "--overlap-min", "0.2",
-                    "--overlap-max", "0.8", "--points", "2"]) == 0
-    assert capsys.readouterr().out.split("\n")[0] == f"overlap,I_{label},D_{label}"
+        code, out, _ = qclone(*argv)
+        assert code == 0
+        assert out.split("\n")[0] == f"machine={label}"
+    code, out, _ = qclone("b92", "curve", "--machines", path, "--overlap-min", "0.2",
+                          "--overlap-max", "0.8", "--points", "2")
+    assert code == 0
+    assert out.split("\n")[0] == f"overlap,I_{label},D_{label}"
 
 
 def test_b92_curve_repeated_labels_exit_2(tmp_path):
@@ -364,7 +390,7 @@ def test_b92_curve_repeated_labels_exit_2(tmp_path):
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
-def test_csv_records_quote_separators_and_read_back(tmp_path, capsys):
+def test_csv_records_quote_separators_and_read_back(tmp_path):
     path, name = tmp_path / "ch,1.json", 'eve, "v2"'
     save_spec(channel_spec(0.9, name), path)
     for argv, expected in (
@@ -373,14 +399,16 @@ def test_csv_records_quote_separators_and_read_back(tmp_path, capsys):
             (["b92", "simulate", "--machine", str(path), "--vartheta", "0.5",
               "--n", "100", "--seed", "1"], {"machine": "eve___v2_"}),
             (["validate", "--spec", str(path)], {"file": str(path), "name": name})):
-        assert cli.run([*argv, "--format", "csv"]) == 0
-        header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+        code, out, _ = qclone(*argv, "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out, newline=""))
         assert len(header) == len(row)
         fields = dict(zip(header, row))
         assert {k: fields[k] for k in expected} == expected
 
 
-@pytest.mark.parametrize("name", ["x\nmachine=forged", "tab\there", "del\x7f", "\x85"])
+@pytest.mark.parametrize("name", ["x\nmachine=forged", "tab\there", "del\x7f", "\x85",
+                                  "x\u2028passed=true", "x\u2029passed=true"])
 def test_spec_names_with_control_characters_exit_1(tmp_path, name):
     path = tmp_path / "ctl.json"
     path.write_text(json.dumps({"name": name, "variant": "channel", "fidelity": 0.9}))
@@ -415,10 +443,10 @@ def _cap_address_space():
      "--overlap-max", "0.9", "--points", "1000000000"),
 ], ids=["scan", "fidelity", "b92-curve"])
 def test_requests_too_large_for_memory_exit_2(args):
-    # the child's address space is capped at 2 GiB, so each allocation fails
-    # at once whatever the host's memory
-    res = qclone(*args, preexec_fn=_cap_address_space,
-                 env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
+    # a child process, whose address space is capped at 2 GiB, so each
+    # allocation fails at once whatever the host's memory
+    res = spawn(*args, preexec_fn=_cap_address_space,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"}, timeout=120, text=True)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
@@ -456,17 +484,19 @@ def test_simulate_matches_library_and_none_machine():
      "error_rate=0.0935980609861\n"),
 ], ids=["meridional-2024", "meridional-max-seed", "none-2024", "none-max-seed",
         "ragged-chunk"])
-def test_simulate_reports_pinned(capsys, argv, text):
+def test_simulate_reports_pinned(argv, text):
     machine, vartheta, n, seed = argv
-    assert cli.run(["b92", "simulate", "--machine", machine, "--vartheta", vartheta,
-                    "--n", n, "--seed", seed]) == 0
-    assert capsys.readouterr().out == text
+    code, out, _ = qclone("b92", "simulate", "--machine", machine, "--vartheta", vartheta,
+                          "--n", n, "--seed", seed)
+    assert code == 0
+    assert out == text
 
 
-def test_simulate_csv_report_pinned(capsys):
-    assert cli.run(["b92", "simulate", "--machine", "equatorial", "--vartheta", "1.1",
-                    "--n", "196613", "--seed", "99", "--format", "csv"]) == 0
-    assert capsys.readouterr().out == (
+def test_simulate_csv_report_pinned():
+    code, out, _ = qclone("b92", "simulate", "--machine", "equatorial", "--vartheta", "1.1",
+                          "--n", "196613", "--seed", "99", "--format", "csv")
+    assert code == 0
+    assert out == (
         "machine,vartheta,seed,n_trials,conclusive,inconclusive,errors,"
         "conclusive_rate,error_rate\n"
         "equatorial,1.1,99,196613,45293,151320,15217,0.230366252486,0.33596803038\n")
@@ -511,10 +541,14 @@ def test_scan_grid():
 
 
 def test_deterministic_output_repeated_runs():
-    a = qclone("b92", "curve", "--machines", "meridional,universal,equatorial",
-               "--overlap-min", "0.05", "--overlap-max", "0.95", "--points", "19")
-    b = qclone("b92", "curve", "--machines", "meridional,universal,equatorial",
-               "--overlap-min", "0.05", "--overlap-max", "0.95", "--points", "19")
+    # two child processes with different hash seeds, so the output does not
+    # depend on anything that varies from one process to the next
+    a = spawn("b92", "curve", "--machines", "meridional,universal,equatorial",
+              "--overlap-min", "0.05", "--overlap-max", "0.95", "--points", "19",
+              env={**os.environ, "PYTHONHASHSEED": "1"})
+    b = spawn("b92", "curve", "--machines", "meridional,universal,equatorial",
+              "--overlap-min", "0.05", "--overlap-max", "0.95", "--points", "19",
+              env={**os.environ, "PYTHONHASHSEED": "2"})
     assert a.stdout == b.stdout
     assert a.returncode == 0
 
@@ -523,7 +557,7 @@ _FUZZ_FLOATS = ("nan", "inf", "-inf", "-0.0", "-1", "0", "1", "0.3", "1e308", "5
 _FUZZ_SIZES = ("-3", "0", "1", "2", "20")
 
 
-def test_cli_flag_fuzz_exits_cleanly(tmp_path, capsys):
+def test_cli_flag_fuzz_exits_cleanly(tmp_path):
     """Seeded in-process fuzz of every subcommand: a valid invocation with up
     to three flags dropped or set to values argparse accepts but that lie
     outside the domain. No exception escapes run, the status is 0, 1 or 2,
@@ -571,13 +605,12 @@ def test_cli_flag_fuzz_exits_cleanly(tmp_path, capsys):
         if rng.random() < 0.5:
             argv.append(extras[rng.integers(len(extras))])
         try:
-            cli.build_parser().parse_args(argv)
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli.build_parser().parse_args(argv)
             parsed = True
         except SystemExit:
             parsed = False
-        capsys.readouterr()
-        status = cli.run(argv)
-        err = capsys.readouterr().err
+        status, _, err = qclone(*argv)
         assert status in (0, 1, 2), argv
         if status == 1 or (status == 2 and parsed):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

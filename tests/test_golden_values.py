@@ -45,9 +45,9 @@ def _bound(text):
     return ALLOWANCE + (0.5 * 10.0 ** (np.floor(np.log10(value)) - 11) if value else 0.0)
 
 
-def _read_csv(golden):
+def _read_csv(golden, delimiter=","):
     with open(GOLDEN_DIR / golden, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
+        header, *rows = list(csv.reader(fh, delimiter=delimiter))
     return header, rows
 
 
@@ -206,3 +206,80 @@ def test_optimize_average_matches_the_scalar_oracle():
                          r"by (\S+); maximizing the mean does not keep the three anchor "
                          r"fidelities equal", notes)
     assert match and match.groups() == (f"{equal_point:.6f}", f"{best - equal_point:.6f}")
+
+
+# The trapezoid rule in average_fidelity_quadrature integrates the sin^2
+# term exactly (it is periodic over [0, pi]) but falls short on the kappa/2
+# sin term by (h^2 / 12) (f'(0) - f'(pi)) = h^2 / 6 to leading order
+# (Euler-Maclaurin), with h = pi / (nodes - 1): up to 2.6e-11 in the mean,
+# more than two units in its 11th digit. _scan_mean takes that term back;
+# the next one, kappa h^4 / (720 pi), is below 1e-21, so each mean keeps _bound.
+QUADRATURE_STEP = np.pi / (100_000 - 1)
+
+
+def _scan_mean(zeta, eta, kappa):
+    """oracles.average_fidelity_quadrature, less its leading trapezoid error."""
+    shortfall = (kappa / 2) * QUADRATURE_STEP ** 2 / 6 / np.pi
+    return oracles.average_fidelity_quadrature(zeta, eta, kappa) + shortfall
+
+
+def test_scan_of_the_realizable_region_matches_the_oracles():
+    """scan --grid-steps 4, as CSV and as text: every grid cell, the
+    realizability flag of gram_feasible_bruteforce, and the mean fidelity of
+    each realizable point from average_fidelity_quadrature (nan elsewhere)."""
+    axis = np.linspace(0.0, 1.0, 4)
+    grid = [g.ravel() for g in np.meshgrid(np.linspace(0.0, 0.5, 4), axis, axis,
+                                           indexing="ij")]
+    flags = oracles.gram_feasible_bruteforce(*grid)
+    for golden, delimiter in (("scan_4.csv", ","), ("scan_4.txt", "\t")):
+        header, rows = _read_csv(golden, delimiter)
+        assert header == ["zeta", "eta", "kappa", "feasible", "avg_fidelity"]
+        assert len(rows) == len(flags)
+        for row, *point, feasible in zip(rows, *grid, flags, strict=True):
+            *coords, flag, mean = row
+            for text, value in zip(coords, point, strict=True):
+                assert abs(float(text) - value) <= _bound(text), (golden, point, text)
+            assert flag == str(int(feasible)), (golden, point, flag)
+            if feasible:
+                assert abs(float(mean) - _scan_mean(*point)) <= _bound(mean), (golden, point)
+            else:
+                assert mean == "nan", (golden, point, mean)
+
+
+def _unitarity_residuals(g):
+    """The conditions for U|i>|A> = |ii>|Qi> + (|01> + |10>)|Yi> to be an
+    isometry, from the Gram matrix g of (Q0, Q1, Y0, Y1): each output has
+    norm 1, <Qi|Qi> + 2 <Yi|Yi> = 1; the two are orthogonal, 2 <Y0|Y1> = 0;
+    and the two clones are alike, <Y0|Y0> = <Y1|Y1>."""
+    return {
+        "row0_norm": g[0, 0].real + 2 * g[2, 2].real - 1,
+        "row1_norm": g[1, 1].real + 2 * g[3, 3].real - 1,
+        "y_orthogonality": abs(g[2, 3]),
+        "y_norm_balance": g[2, 2].real - g[3, 3].real,
+    }
+
+
+def test_validate_of_the_meridional_machine_matches_its_gram_matrix():
+    """validate on the meridional machine's spec file, and on the same file
+    with Y1 replaced by Y0: each residual against the Gram matrix of the
+    paper's vectors at (1/10, 2/5, 2/5), the apparatus dimension against its
+    rank, and the verdict against the printed tolerance."""
+    q0, q1, y0, y1 = oracles.apparatus_vectors(*MACHINES["meridional"])
+    for golden, vectors in (("validate_passing.txt", (q0, q1, y0, y1)),
+                            ("validate_failing.txt", (q0, q1, y0, y0))):
+        records = _read_records(golden)
+        assert [records.pop(k) for k in ("file", "name", "variant")] == [
+            "<spec>", "meridional", "explicit"]
+        vectors = np.array(vectors, dtype=complex)
+        gram = vectors.conj() @ vectors.T
+        residuals = _unitarity_residuals(gram)
+        assert int(records.pop("apparatus_dim")) == np.linalg.matrix_rank(gram) == 2
+        tolerance = records.pop("tolerance")
+        assert tolerance == "1e-10"
+        passed = all(abs(r) <= float(tolerance) for r in residuals.values())
+        assert records.pop("passed") == ("true" if passed else "false")
+        assert passed == (golden == "validate_passing.txt")
+        assert records.keys() == {f"residual_{k}" for k in residuals}
+        for key, want in residuals.items():
+            text = records[f"residual_{key}"]
+            assert abs(float(text) - want) <= _bound(text), (golden, key, text)
