@@ -111,7 +111,7 @@ def _read_spec(path: str):
     path holding a character that machines._has_control finds is refused
     unread, since reports echo the path and it would break a report line."""
     if machines._has_control(path):
-        raise SpecFileError(f"machine file path {path!r} holds a control character")
+        raise SpecFileError(f"machine file path {path!r} holds a line-breaking character")
     try:
         return machines.load_spec(path)
     except OSError as exc:

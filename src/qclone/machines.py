@@ -159,7 +159,7 @@ class CloningSpec:
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {type(self.name).__name__}")
         if _has_control(self.name):
-            raise ValueError(f"name must not contain control characters, got {self.name!r}")
+            raise ValueError(f"name must not contain a line-breaking character, got {self.name!r}")
         if self.variant == "explicit":
             d = self.apparatus_dim
             d = _integer(d, f"apparatus_dim must be the integer 2, 3 or 4, got {d!r}", 2, 4)

@@ -6,10 +6,12 @@ agree with the printed text within what 12 significant digits allow: half a
 unit in the cell's 12th significant digit, plus ALLOWANCE for the oracle's
 own rounding. Counts must agree exactly, and a cell the oracle itself
 cannot pin that closely gets the wider bound its test states. Nothing here
-reads numbers from the package.
+reads numbers from the package, apart from the spec file whose vector
+length the validate test compares with the printed apparatus dimension.
 """
 
 import csv
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
+from qclone.machines import meridional_spec, save_spec
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -246,34 +249,45 @@ def test_scan_of_the_realizable_region_matches_the_oracles():
                 assert mean == "nan", (golden, point, mean)
 
 
-def _unitarity_residuals(g):
-    """The conditions for U|i>|A> = |ii>|Qi> + (|01> + |10>)|Yi> to be an
-    isometry, from the Gram matrix g of (Q0, Q1, Y0, Y1): each output has
-    norm 1, <Qi|Qi> + 2 <Yi|Yi> = 1; the two are orthogonal, 2 <Y0|Y1> = 0;
-    and the two clones are alike, <Y0|Y0> = <Y1|Y1>."""
+def _isometry_residuals(q0, q1, y0, y1):
+    """How far U|i>|A> = |ii>|Qi> + (|01> + |10>)|Yi> is from an isometry,
+    from its two images written out in C^2 x C^2 x C^d and their 2x2 matrix
+    of inner products m, which must be the identity: each image has norm 1
+    (m_ii - 1); the images are orthogonal, m_01 = 2 <Y0|Y1> = 0, of which
+    validate reports the overlap |<Y0|Y1>| = |m_01| / 2; and the two clones
+    are alike, the |01> weights <Y0|Y0> and <Y1|Y1> of the images agree."""
+    zero = np.zeros_like(q0)
+    images = (np.concatenate([q0, y0, y0, zero]),   # along |00>, |01>, |10>, |11>
+              np.concatenate([zero, y1, y1, q1]))
+    m = np.array([[np.vdot(a, b) for b in images] for a in images])
+    d = len(q0)
+    weight01 = [np.vdot(v[d:2 * d], v[d:2 * d]).real for v in images]
     return {
-        "row0_norm": g[0, 0].real + 2 * g[2, 2].real - 1,
-        "row1_norm": g[1, 1].real + 2 * g[3, 3].real - 1,
-        "y_orthogonality": abs(g[2, 3]),
-        "y_norm_balance": g[2, 2].real - g[3, 3].real,
+        "row0_norm": m[0, 0].real - 1,
+        "row1_norm": m[1, 1].real - 1,
+        "y_orthogonality": abs(m[0, 1]) / 2,
+        "y_norm_balance": weight01[0] - weight01[1],
     }
 
 
-def test_validate_of_the_meridional_machine_matches_its_gram_matrix():
+def test_validate_of_the_meridional_machine_matches_the_isometry_conditions(tmp_path):
     """validate on the meridional machine's spec file, and on the same file
-    with Y1 replaced by Y0: each residual against the Gram matrix of the
-    paper's vectors at (1/10, 2/5, 2/5), the apparatus dimension against its
-    rank, and the verdict against the printed tolerance."""
+    with Y1 replaced by Y0: each residual against the isometry conditions on
+    the paper's vectors at (1/10, 2/5, 2/5), the verdict against the printed
+    tolerance, and the apparatus dimension against the length of the vectors
+    in the spec file validate read. That file is the one thing read from the
+    package: save_spec writes it here as it wrote it for the goldens."""
+    save_spec(meridional_spec(), tmp_path / "mer.json")
+    spec_file = json.loads((tmp_path / "mer.json").read_text(encoding="utf-8"))
     q0, q1, y0, y1 = oracles.apparatus_vectors(*MACHINES["meridional"])
     for golden, vectors in (("validate_passing.txt", (q0, q1, y0, y1)),
                             ("validate_failing.txt", (q0, q1, y0, y0))):
         records = _read_records(golden)
         assert [records.pop(k) for k in ("file", "name", "variant")] == [
             "<spec>", "meridional", "explicit"]
-        vectors = np.array(vectors, dtype=complex)
-        gram = vectors.conj() @ vectors.T
-        residuals = _unitarity_residuals(gram)
-        assert int(records.pop("apparatus_dim")) == np.linalg.matrix_rank(gram) == 2
+        residuals = _isometry_residuals(*(np.array(v, dtype=complex) for v in vectors))
+        assert {int(records.pop("apparatus_dim"))} == {
+            len(spec_file[k]) for k in ("Q0", "Q1", "Y0", "Y1")}
         tolerance = records.pop("tolerance")
         assert tolerance == "1e-10"
         passed = all(abs(r) <= float(tolerance) for r in residuals.values())
