@@ -61,9 +61,12 @@ def _check_vartheta(vartheta) -> float:
 
 def _check_run(vartheta, n, seed) -> tuple:
     """(vartheta, n, seed) as (float, int, int); ValueError, in this order,
-    unless n and seed are integers (not bools) with n >= 1 and
-    0 <= seed < 2**64, and vartheta passes _check_vartheta."""
-    n = _integer(n, f"need at least one trial, as an integer, got {n!r}", 1)
+    unless n and seed are integers (not bools) with 1 <= n < 2**64 and
+    0 <= seed < 2**64, and vartheta passes _check_vartheta. The bound on n
+    is rng.trial_uniforms' range of trial indices: a longer run is refused
+    here, before its first trial, not when its last chunk is drawn."""
+    n = _integer(n, f"need at least one trial and fewer than 2**64, as an integer, got {n!r}",
+                 1, 2 ** 64 - 1)
     seed = _integer(seed, f"seed must be an integer in [0, 2**64), got {seed!r}", 0, 2 ** 64 - 1)
     return _check_vartheta(vartheta), n, seed
 

@@ -36,14 +36,6 @@ def test_pair_domain():
             attack_analysis(ideal, vt)
 
 
-def test_povm_completeness_positivity_grid():
-    for vt in np.linspace(0.01, np.pi / 2 - 0.01, 50):
-        g = _povm(vt)
-        assert np.max(np.abs(g.sum(axis=0) - np.eye(2))) <= 1e-12
-        for op in g:
-            assert np.linalg.eigvalsh(op)[0] >= -1e-12
-
-
 def test_povm_conclusive_outcomes_never_lie():
     for vt in np.linspace(0.05, np.pi / 2 - 0.05, 25):
         u, v = oracles.signal_states(vt)
@@ -70,14 +62,6 @@ def test_outcome_probs_validation():
         b92._probabilities(g, np.eye(4) / 4)  # a two-qubit state does not broadcast
 
 
-def test_attack_analysis_matches_bruteforce_oracle():
-    for vt in (0.3, 0.7, np.arcsin(np.sqrt(0.5)), 1.4):
-        res = attack_analysis(meridional_spec(), vt)
-        _, _, i_oracle, d_oracle = oracles.attack((0.1, 0.4, 0.4), vt)
-        assert res.mutual_information == pytest.approx(i_oracle, abs=1e-12)
-        assert res.discrepancy == pytest.approx(d_oracle, abs=1e-12)
-
-
 def test_attack_analysis_universal_and_equatorial_discrepancy():
     for vt in (0.2, 0.8, 1.3):
         assert attack_analysis(builtin_spec("universal"), vt).discrepancy == pytest.approx(
@@ -100,13 +84,6 @@ def test_information_is_exactly_zero_when_signals_coincide(machine):
     # at vartheta = pi/2 Eve's outcome does not depend on the bit sent, so I is
     # exactly 0, not the information chain's rounding
     assert attack_analysis(builtin_spec(machine), np.pi / 2).mutual_information == 0.0
-
-
-def test_ideal_machine_gives_full_information_no_disturbance():
-    res = attack_analysis(builtin_spec("ideal"), 0.5)
-    assert res.discrepancy == pytest.approx(0.0, abs=1e-14)
-    # Eve holds a perfect copy, so her information equals Bob's conclusive yield
-    assert res.mutual_information == pytest.approx(1 - np.sin(0.5), abs=1e-12)
 
 
 def test_ideal_discrepancy_is_exactly_zero():
@@ -216,7 +193,8 @@ def test_simulation_domain():
         with pytest.raises(ValueError, match="seed"):
             simulate_protocol(ideal, 0.5, 100, seed)
     # a count or seed that is not an integer is refused, not truncated
-    for n, seed in ((2.7, 1), (True, 1), (100, 1.9), (100, False)):
+    # nor is a count of 2**64 or more, past the RNG's last trial index
+    for n, seed in ((2.7, 1), (True, 1), (100, 1.9), (100, False), (2 ** 64, 1)):
         with pytest.raises(ValueError, match="integer"):
             simulate_protocol(ideal, 0.7, n, seed)
     with pytest.raises(ValueError, match="vartheta must be a real number"):
@@ -287,10 +265,13 @@ ATTACK_SPECS = [meridional_spec(), builtin_spec("wootters-zurek"), builtin_spec(
 
 
 def test_attack_analysis_matches_per_state_reference():
+    """The meridional machine's reference is built from the paper's triple,
+    the others' from their own vectors."""
     for spec in ATTACK_SPECS:
-        for vt in (0.05, 0.4, 0.9, 1.5):
+        reference = (0.1, 0.4, 0.4) if spec.name == "meridional" else spec
+        for vt in (0.05, 0.3, 0.4, 0.7, np.arcsin(np.sqrt(0.5)), 0.9, 1.4, 1.5):
             res = attack_analysis(spec, vt)
-            p_u, p_v, info, disc = oracles.attack(spec, vt)
+            p_u, p_v, info, disc = oracles.attack(reference, vt)
             for mu in range(3):
                 got = res.outcome_probs[f"G{mu + 1}"]
                 assert got == pytest.approx((p_u[mu], p_v[mu]), abs=1e-12)

@@ -151,6 +151,8 @@ def test_flag_domains_are_checked_before_the_machine_file(tmp_path):
              "--points must"),
             ("b92 analyze --machine M --vartheta 2.5", "vartheta must"),
             ("b92 simulate --machine M --vartheta 0.5 --n 0 --seed 1", "need at least one"),
+            ("b92 simulate --machine M --vartheta 0.5 --n 18446744073709551616 --seed 1",
+             "need at least one"),
             ("b92 simulate --machine M --vartheta 0.5 --n 5 --seed -1", "seed must"),
             ("b92 simulate --machine M --vartheta 0 --n 5 --seed 1", "vartheta must")):
         code, out, err = qclone(*(missing if a == "M" else a for a in command.split()))

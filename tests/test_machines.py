@@ -77,14 +77,6 @@ def _worst_residual(spec):
     return max(abs(r) for r in validate_unitarity(spec).values())
 
 
-def test_meridional_unitarity_residuals_tiny():
-    assert _worst_residual(meridional_spec()) <= 1e-12
-
-
-def test_wootters_zurek_passes():
-    assert _worst_residual(wootters_zurek_spec()) == 0.0
-
-
 def test_validation_flags_parallel_y_vectors():
     """Construction refuses Y1 = Y0, and any <Y0|Y1> != 0 by its modulus
     whatever its phase; the refusal keeps what a report of the refused spec
@@ -178,9 +170,9 @@ def test_synthesize_rejects_infeasible():
 
 
 def test_synthesize_degenerate_zeta_zero():
-    spec = synthesize(BHParams(0.0, 0.0, 0.0))
-    assert _worst_residual(spec) == 0.0
-    assert np.allclose(spec.y0, 0.0) and np.allclose(spec.y1, 0.0)
+    for spec in (synthesize(BHParams(0.0, 0.0, 0.0)), wootters_zurek_spec()):
+        assert _worst_residual(spec) == 0.0
+        assert np.allclose(spec.y0, 0.0) and np.allclose(spec.y1, 0.0)
 
 
 def _vectors(spec):
@@ -262,20 +254,6 @@ def test_clone_symmetry_of_marginals():
             assert np.max(np.abs(rho_a - rho_b)) <= 1e-12
             got = marginals(spec, bloch_amplitudes(theta, phi))
             assert np.max(np.abs(got - rho_b)) <= 1e-12
-
-
-def test_clone_closed_form_equivalence_random():
-    rng = np.random.default_rng(23)
-    for p in _random_feasible(rng, 20):
-        spec = synthesize(p)
-        theta = rng.uniform(0.0, np.pi)
-        for phi in (0.0, np.pi):
-            s = bloch_amplitudes(theta, phi)
-            got = marginals(spec, s)
-            want = reduced_output_closed_form(p, theta, phi)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-            f_sim = fidelities(s, got)
-            assert f_sim == pytest.approx(fidelity_closed_form(p, theta, phi), abs=1e-10)
 
 
 def test_clone_rejects_invalid_spec():
@@ -365,23 +343,6 @@ def test_spec_constructor_accepts_numpy_scalars():
 
 # --- batched single-clone kernel ---------------------------------------------
 
-def test_marginals_match_clone_reference():
-    rng = np.random.default_rng(7)
-    specs = [synthesize(p) for p in _random_feasible(rng, 200)]
-    specs += [meridional_spec(), wootters_zurek_spec(), channel_spec(0.77)]
-    specs += [builtin_spec(name) for name in ("universal", "equatorial", "ideal")]
-    for spec in specs:
-        # random (theta, phi) plus both poles, the poles with a phase to drop
-        theta = np.concatenate([rng.uniform(0.0, np.pi, 4), [0.0, np.pi]])
-        phi = np.concatenate([rng.uniform(0.0, 2 * np.pi, 4), [1.0, 4.0]])
-        amps = bloch_amplitudes(theta, phi)
-        got = marginals(spec, amps)
-        assert got.shape == (theta.size, 2, 2)
-        for t, p, mat in zip(theta, phi, got):
-            want = oracles.machine_output(spec, oracles.qubit_amplitudes(t, p))
-            assert np.max(np.abs(mat - want)) <= 1e-12
-
-
 def test_marginals_broadcast_shapes():
     amps = bloch_amplitudes(np.linspace(0.0, np.pi, 5), np.array([[0.0], [np.pi]]))
     mats = marginals(meridional_spec(), amps)
@@ -453,54 +414,54 @@ def test_marginals_blame_the_amplitudes_not_the_spec():
 
 # --- closed forms -----------------------------------------------------------
 
-def test_fidelity_closed_form_meridional_values():
-    p = BHParams(0.1, 0.4, 0.4)
-    assert fidelity_closed_form(p, 0.0, 0.0) == pytest.approx(0.9, abs=1e-15)
-    assert fidelity_closed_form(p, np.pi / 2, 0.0) == pytest.approx(0.9, abs=1e-15)
-    assert fidelity_closed_form(p, np.pi / 6, 0.0) == pytest.approx(0.95, abs=1e-12)
-    assert fidelity_closed_form(p, np.pi / 2, np.pi) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_reduced_output_trace_and_hermiticity():
-    p = BHParams(0.12, 0.3, 0.2)
-    rho = reduced_output_closed_form(p, 1.234, np.pi)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
-
-
 def test_meridional_general_formula():
+    """The closed forms at fixed points: meridional fidelities at a pole, on
+    both meridians' equator and at pi/6; unit trace; angles off theta in
+    [0, pi], phi in [0, 2 pi) and an unrealizable triple are refused."""
     p = BHParams(0.1, 0.4, 0.4)
-    assert fidelity_closed_form(p, np.pi / 2, 0.0) == pytest.approx(0.9, abs=1e-15)
-    assert fidelity_closed_form(p, np.pi / 2, np.pi) == pytest.approx(0.5, abs=1e-15)
-    assert fidelity_closed_form(p, 0.0, 1.0) == pytest.approx(0.9, abs=1e-15)
-    with pytest.raises(ValueError):
-        fidelity_closed_form(p, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        fidelity_closed_form(p, 1.0, 7.0)
-
-
-def test_closed_form_domain_checks():
-    p = BHParams(0.1, 0.4, 0.4)
-    with pytest.raises(ValueError):
-        fidelity_closed_form(p, -0.5, 0.0)
-    with pytest.raises(ValueError):
-        fidelity_closed_form(BHParams(0.1, 0.7, 0.7), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        reduced_output_closed_form(p, 1.0, 2 * np.pi)
+    for theta, phi, want, tol in ((0.0, 0.0, 0.9, 1e-15), (0.0, 1.0, 0.9, 1e-15),
+                                  (np.pi / 2, 0.0, 0.9, 1e-15), (np.pi / 2, np.pi, 0.5, 1e-15),
+                                  (np.pi / 6, 0.0, 0.95, 1e-12)):
+        assert fidelity_closed_form(p, theta, phi) == pytest.approx(want, abs=tol)
+    rho = reduced_output_closed_form(BHParams(0.12, 0.3, 0.2), 1.234, np.pi)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+    for closed_form, params, theta, phi in (
+            (fidelity_closed_form, p, -0.1, 0.0), (fidelity_closed_form, p, 1.0, 7.0),
+            (reduced_output_closed_form, p, 1.0, 2 * np.pi),
+            (fidelity_closed_form, BHParams(0.1, 0.7, 0.7), 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            closed_form(params, theta, phi)
 
 
 def test_closed_forms_match_kernel_and_clone_over_the_sphere():
+    """At drawn (theta, phi), both poles with a phase and both meridians, the
+    kernel's marginal of every spec (synthesized, built-in, channel) is the
+    brute-force clone's; for an explicit spec the kernel and the clone also
+    match both closed forms at its triple."""
     rng = np.random.default_rng(2024)
-    for p in _random_feasible(rng, 200):
-        spec = synthesize(p)
+    cases = [(synthesize(p), p) for p in _random_feasible(rng, 200)]
+    cases += [(spec, spec.bh_params() if spec.variant == "explicit" else None)
+              for spec in map(builtin_spec, BUILTIN_MACHINES)]
+    cases.append((channel_spec(0.77), None))
+    for spec, p in cases:
         theta = np.concatenate([rng.uniform(0.0, np.pi, 4), [0.0, np.pi]])
         phi = rng.uniform(0.0, 2 * np.pi, theta.size)
+        # both meridians, at two of the drawn polar angles
+        theta, phi = np.append(theta, theta[:2]), np.append(phi, [0.0, np.pi])
+        amps = bloch_amplitudes(theta, phi)
+        got = marginals(spec, amps)
+        assert got.shape == (theta.size, 2, 2)
+        states = [oracles.qubit_amplitudes(t, ph) for t, ph in zip(theta, phi)]
+        refs = [oracles.machine_output(spec, s) for s in states]
+        assert np.max(np.abs(got - refs)) <= 1e-12
+        if p is None:
+            continue
         rho = reduced_output_closed_form(p, theta, phi)
         f = fidelity_closed_form(p, theta, phi)
-        assert rho.shape == (theta.size, 2, 2) and f.shape == theta.shape
-        assert np.max(np.abs(marginals(spec, bloch_amplitudes(theta, phi)) - rho)) <= 1e-12
-        for t, ph, rho_i, f_i in zip(theta, phi, rho, f):
-            s = oracles.qubit_amplitudes(t, ph)
-            ref = oracles.machine_output(spec, s)
+        assert rho.shape == got.shape and f.shape == theta.shape
+        assert np.max(np.abs(got - rho)) <= 1e-12
+        assert np.max(np.abs(fidelities(amps, got) - f)) <= 1e-12
+        for s, ref, rho_i, f_i in zip(states, refs, rho, f):
             assert np.max(np.abs(ref - rho_i)) <= 1e-12
             assert abs(np.vdot(s, ref @ s).real - f_i) <= 1e-12
 
@@ -527,6 +488,10 @@ def test_spec_file_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     save_spec(loaded, again)
     assert path.read_bytes() == again.read_bytes()
+    # a channel's field in an explicit file is ignored
+    again.write_text(json.dumps({**json.loads(path.read_text()), "fidelity": 0.9}))
+    save_spec(load_spec(again), again)
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_spec_file_channel_roundtrip(tmp_path):
@@ -535,6 +500,12 @@ def test_spec_file_channel_roundtrip(tmp_path):
     loaded = load_spec(path)
     assert loaded.variant == "channel"
     assert loaded.clone_fidelity == pytest.approx(EQUATORIAL_FIDELITY, abs=0)
+    # an explicit machine's fields (apparatus_dim, Q0 to Y1) in a channel file are ignored
+    mixed = tmp_path / "mixed.json"
+    save_spec(meridional_spec(), mixed)
+    mixed.write_text(json.dumps({**json.loads(mixed.read_text()), **json.loads(path.read_text())}))
+    save_spec(load_spec(mixed), mixed)
+    assert mixed.read_bytes() == path.read_bytes()
 
 
 def test_load_spec_rejects_malformed(tmp_path):

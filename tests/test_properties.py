@@ -197,6 +197,7 @@ def test_spec_files_load_to_machines_with_states_and_unit_interval_figures(
 @SETTINGS
 @given(varthetas)
 @example(np.pi / 2)
+@example(0.5)
 def test_ideal_channel_has_no_disturbance_and_bobs_conclusive_yield(vt):
     # Eve's copy is perfect, so she learns exactly what Bob's conclusive
     # outcomes reveal: I = 1 - sin(vartheta), not 1

@@ -27,27 +27,16 @@ def _product(a, b):
     return to_density((2, 2), np.kron(a, b))
 
 
-def test_pole_amplitudes_are_exact():
-    assert tuple(bloch_amplitudes(0.0)) == (1.0 + 0.0j, 0.0 + 0.0j)
-    assert tuple(bloch_amplitudes(np.pi)) == (0.0 + 0.0j, 1.0 + 0.0j)
-    # the phase is irrelevant at the poles and is dropped
-    assert tuple(bloch_amplitudes(0.0, 1.3)) == (1.0 + 0.0j, 0.0 + 0.0j)
-    assert tuple(bloch_amplitudes(np.pi, 2.0)) == (0.0 + 0.0j, 1.0 + 0.0j)
-
-
-def test_bloch_state_general_point():
-    a, b = bloch_amplitudes(1.2, 0.7)
-    assert a == pytest.approx(np.cos(0.6))
-    assert b == pytest.approx(np.exp(0.7j) * np.sin(0.6))
-    assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-15)
-
-
 def test_bloch_amplitudes_batch_formula_poles_and_domain():
     theta = np.array([0.0, 0.4, 1.2, 2.9, np.pi])
     phi = np.array([5.0, 0.0, 0.7, 6.2, 3.0])
     amps = bloch_amplitudes(theta, phi)
     assert amps.shape == (5, 2)
     assert tuple(amps[0]) == (1.0, 0.0) and tuple(amps[-1]) == (0.0, 1.0)
+    # scalar calls at each pole, without and with a phase, which is dropped
+    for pole, phase, want in ((0.0, 1.3, (1.0, 0.0)), (np.pi, 2.0, (0.0, 1.0))):
+        assert tuple(bloch_amplitudes(pole)) == want == tuple(bloch_amplitudes(pole, phase))
+    np.testing.assert_allclose(np.sum(np.abs(amps) ** 2, axis=-1), 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(amps[1:4, 0], np.cos(theta[1:4] / 2), atol=1e-15)
     np.testing.assert_allclose(amps[1:4, 1], np.exp(1j * phi[1:4]) * np.sin(theta[1:4] / 2),
                                atol=1e-15)
