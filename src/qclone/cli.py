@@ -17,7 +17,7 @@ wootters-zurek, universal, equatorial, ideal) or a spec-file path; `b92
 simulate` also accepts `none` for an untouched channel (the ideal channel,
 F = 1). Every command checks its flags before it reads a machine file.
 Exit status: 0 success, 1 unreadable or invalid machine file, unwritable
-output (a closed stdout too) or a file path holding a line-breaking
+output (a closed stdout or pipe too) or a file path holding a line-breaking
 character (see machines._has_control; and `validate` on a failing spec),
 2 usage or domain errors, a request too large for memory among them.
 """
@@ -25,6 +25,7 @@ character (see machines._has_control; and `validate` on a failing spec),
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -262,7 +263,9 @@ def _write_output(text: str, out: str | None) -> None:
         if sys.stdout is None:  # started with stdout closed
             raise OSError("standard output is closed")
         sys.stdout.flush()  # text written to stdout earlier stays first
-        sys.stdout.buffer.write(data)
+        view = memoryview(data)  # unbuffered, stdout.buffer is raw and may write part
+        while view:
+            view = view[sys.stdout.buffer.write(view):]
     else:
         with open(out, "wb") as fh:
             fh.write(data)
@@ -287,6 +290,7 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    gc.freeze()  # shutdown's collections then skip the objects the imports made
     sys.exit(run(sys.argv[1:]))
 
 

@@ -7,8 +7,10 @@ Runs a fixed set of qclone invocations in both trees, each as
 bytes, stderr and exit codes. The set covers every subcommand on the five
 built-ins and on four spec files (a synthesized machine, a boundary one and
 general unitary ones in 3 and 4 dimensions), `validate` on passing,
-failing, near-miss, channel, malformed and missing files, and four commands
-on files that are not unitary machines. Spec files are written as JSON to a
+failing, near-miss, channel, malformed and missing files, four commands on
+files that are not unitary machines, and four exits where argparse stops
+before any command runs: `--help`, `b92 simulate --help`, an unknown
+subcommand and a missing required flag. Spec files are written as JSON to a
 temporary directory that both trees read; nothing is imported from qclone.
 
 The set runs twice: on numpy's default dispatch path, and again with
@@ -152,6 +154,7 @@ def invocations(machine_files, validate_files, bad_files):
                   "--seed", "1"],
                  ["b92", "curve", "--machines", f"meridional,{path}", "--overlap-min", "0.1",
                   "--overlap-max", "0.9", "--points", "3"]]
+    runs += [["--help"], ["b92", "simulate", "--help"], ["bogus"], ["fidelity", "--points", "11"]]
     return runs
 
 

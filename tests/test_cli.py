@@ -333,6 +333,40 @@ def test_closed_stdout_is_one_error_line_and_exit_1():
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_broken_pipe_is_one_error_line_and_exit_1(unbuffered):
+    # a child process, since the subject is its stdout pipe; unbuffered,
+    # stdout.buffer is a raw file whose write() may take part of the table.
+    # The table is larger than the 64 KB pipe buffer, so some of it is still
+    # unwritten when the reader closes the pipe after one byte
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "qclone", "scan", "--grid-steps", "20"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(1) == b"z"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    lines = stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), stderr
+
+
+def test_entry_point_freezes_the_imported_heap():
+    # a child process, since the freeze is for the process's exit: cli.main
+    # moves the objects the imports made to the permanent generation, which
+    # the collections at interpreter shutdown skip
+    argv = ["optimize", "--mode", "average"]
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
+              "                              file=sys.stderr))\n"
+              "runpy.run_module('qclone', run_name='__main__')\n")
+    res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+    assert res.returncode == 0
+    assert res.stderr == b"frozen True\n"
+    assert res.stdout == qclone(*argv).stdout.encode("utf-8")
+
+
 def test_csv_roundtrip_reemit_byte_identical():
     res = qclone("b92", "curve", "--machines", "meridional,universal",
                  "--overlap-min", "0.1", "--overlap-max", "0.9", "--points", "9")
