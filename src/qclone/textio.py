@@ -1,9 +1,11 @@
 """Deterministic text rendering shared by the CLI and serializations.
 
-Floats carry at most 12 significant digits, positional for magnitudes in
-[1e-4, 1e6) and scientific outside that window. Twelve digits is coarse
-enough that parse -> re-emit reproduces the same bytes (the nearest double
-to a 12-digit decimal rounds back to that decimal). That is all the format
+Floats carry at most 12 significant digits, positional where the printed
+12-digit value lies in [1e-4, 1e6) and scientific outside that window.
+Twelve digits is coarse enough that parse -> re-emit reproduces the same
+bytes (the nearest double to a 12-digit decimal rounds back to that
+decimal), and deciding the window on the printed value rather than the
+input keeps that so at the window's edges. That is all the format
 guarantees: a value that numpy computes differently on another CPU dispatch
 path can still print differently. A b92 curve over the five built-ins at
 50,001 overlaps differs in 35 of its 750,015 cells between numpy's AVX-512
@@ -25,7 +27,7 @@ def format_float(x: float) -> str:
     if x == 0.0:
         return "0"
     out = f"{x:.12g}"
-    if 1e-4 <= abs(x) < 1e6:
+    if 1e-4 <= abs(float(out)) < 1e6:
         return out
     # %g keeps magnitudes up to 1e12 positional; force scientific above 1e6
     return out if "e" in out else f"{x:.11e}"

@@ -5,13 +5,15 @@
 Runs a fixed set of qclone invocations in both trees, each as
 `PYTHONPATH=<tree>/src python -m qclone ...`, and compares their stdout
 bytes, stderr and exit codes. The set covers every subcommand on the five
-built-ins and on four spec files (a synthesized machine, a boundary one and
-general unitary ones in 3 and 4 dimensions), `validate` on passing,
-failing, near-miss, channel, malformed and missing files, four commands on
-files that are not unitary machines, and four exits where argparse stops
-before any command runs: `--help`, `b92 simulate --help`, an unknown
-subcommand and a missing required flag. Spec files are written as JSON to a
-temporary directory that both trees read; nothing is imported from qclone.
+built-ins and on four spec files (a synthesized machine and a boundary one,
+both 3-dimensional with real entries, and general unitary ones in 3 and 4
+dimensions with complex entries), `validate` on passing, failing,
+near-miss, channel, malformed and missing files, four commands on files
+that are not unitary machines, and four exits where argparse stops before
+any command runs: `--help`, `b92 simulate --help`, an unknown subcommand and
+a missing required flag: 220 invocations. Spec files are written as JSON to
+a temporary directory that both trees read. The machines come from
+tests/oracles.py, and nothing is imported from qclone.
 
 The set runs twice: on numpy's default dispatch path, and again with
 NPY_DISABLE_CPU_FEATURES set to DISABLED, which takes numpy's AVX2 path on
@@ -30,7 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+from oracles import apparatus_vectors, near_miss, unitary_vectors
 
 ROOT = Path(__file__).resolve().parent.parent
 DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
@@ -39,47 +41,6 @@ BUILTINS = ["meridional", "wootters-zurek", "universal", "equatorial", "ideal"]
 PROBE = ("import numpy as np; core = getattr(np, '_core', None) or np.core; "
          "features = core._multiarray_umath.__cpu_features__; "
          f"print(' '.join(t for t in {DISABLED.split()!r} if features.get(t)))")
-
-
-def _synthesized(zeta, eta, kappa):
-    """(Q0, Q1, Y0, Y1) in 4 dimensions realizing a realizable triple."""
-    s = math.sqrt(zeta)
-    a, b = kappa / (2 * s), eta / (2 * s)
-    r = math.sqrt(max(1.0 - 2.0 * zeta - a * a - b * b, 0.0))
-    return [np.array(v, dtype=complex) for v in
-            ([r, a, b, 0.0], [0.0, b, a, r], [0.0, s, 0.0, 0.0], [0.0, 0.0, s, 0.0])]
-
-
-def _general(d, zeta, seed, imag):
-    """A unitary machine in d dimensions: Y0 and Y1 orthogonal with
-    |Y|^2 = zeta in random directions, Q0 and Q1 random with norm^2 1 - 2 zeta;
-    entries are real when imag is 0."""
-    rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        return rng.normal(size=shape) + 1j * imag * rng.normal(size=shape)
-
-    basis, _ = np.linalg.qr(draw(d, d))
-    q0, q1 = (math.sqrt(1 - 2 * zeta) * v / np.linalg.norm(v) for v in draw(2, d))
-    return [q0, q1, math.sqrt(zeta) * basis[:, 0], math.sqrt(zeta) * basis[:, 1]]
-
-
-def _near_misses(vectors, zeta):
-    """Copies of a machine with one unitarity residual moved to +-0.99 and
-    +-1.01 UNITARITY_TOL (|<Y0|Y1>| to 0.99 and 1.01 only)."""
-    q0, q1, y0, y1 = vectors
-    out = {}
-    for factor in (0.99, 1.01):
-        for sign in (1, -1):
-            delta = sign * factor * UNITARITY_TOL
-            grow_q = math.sqrt(1 + delta / (1 - 2 * zeta))
-            out[f"row0_{sign * factor:+}"] = [q0 * grow_q, q1, y0, y1]
-            out[f"row1_{sign * factor:+}"] = [q0, q1 * grow_q, y0, y1]
-            # |Y0|^2 up by delta and |Q0|^2 down by 2 delta keep row0_norm
-            out[f"balance_{sign * factor:+}"] = [q0 * math.sqrt(1 - 2 * delta / (1 - 2 * zeta)),
-                                                q1, y0 * math.sqrt(1 + delta / zeta), y1]
-        out[f"y_overlap_{factor}"] = [q0, q1, y0, y1 + factor * UNITARITY_TOL / zeta * y0]
-    return out
 
 
 def _explicit(name, vectors):
@@ -91,22 +52,30 @@ def _explicit(name, vectors):
 
 def write_specs(tmp):
     """Write the spec files; returns (machine files, validate files, bad files) as paths."""
-    meridional = _synthesized(0.1, 0.4, 0.4)
+    meridional = apparatus_vectors(0.1, 0.4, 0.4)
     machines = {
-        "synthesized": _explicit("", _synthesized(0.12, 0.3, 0.25)),
-        "boundary": _explicit("", _synthesized(0.25, 0.6, math.sqrt(0.14))),
-        "general3": _explicit("", _general(3, 0.15, 3, 0.0)),
-        "general4": _explicit("", _general(4, 0.2, 4, 1.0)),
+        "synthesized": _explicit("", apparatus_vectors(0.12, 0.3, 0.25)),
+        "boundary": _explicit("", apparatus_vectors(0.25, 0.6, math.sqrt(0.14))),
+        "general3": _explicit("", unitary_vectors(3, 0.15, 3)),
+        "general4": _explicit("", unitary_vectors(4, 0.2, 4)),
     }
     parallel = _explicit("parallel", meridional[:3] + meridional[2:3])
-    off_norm = _explicit("off-norm", _near_misses(meridional, 0.1)["row0_+1.01"])
+    off_norm = _explicit("off-norm", near_miss(meridional, 0.1, "row0_norm",
+                                               1.01 * UNITARITY_TOL))
     missing_y1 = {k: v for k, v in _explicit("no-y1", meridional).items() if k != "Y1"}
     bad_dim = dict(_explicit("dim", meridional), apparatus_dim=5)
-    strings = dict(_explicit("strings", meridional), Q0=[["0.6", "0"]] * 4)
+    strings = dict(_explicit("strings", meridional), Q0=[["0.6", "0"]] * 3)
     validate = {"passing": _explicit("meridional", meridional), "failing": parallel,
                 "channel": {"name": "chan", "variant": "channel", "fidelity": 0.8},
                 "bad_dim": bad_dim}
-    validate.update({k: _explicit(k, v) for k, v in _near_misses(meridional, 0.1).items()})
+    # one unitarity residual moved to +-0.99 and +-1.01 UNITARITY_TOL (|<Y0|Y1>| to
+    # 0.99 and 1.01 only)
+    near = {f"{stem}_{f:+}": (residual, f) for f in (0.99, -0.99, 1.01, -1.01)
+            for stem, residual in (("row0", "row0_norm"), ("row1", "row1_norm"),
+                                   ("balance", "y_norm_balance"))}
+    near.update({f"y_overlap_{f}": ("y_orthogonality", f) for f in (0.99, 1.01)})
+    validate.update({k: _explicit(k, near_miss(meridional, 0.1, residual, f * UNITARITY_TOL))
+                     for k, (residual, f) in near.items()})
     bad = {"parallel": parallel, "off_norm": off_norm, "missing_y1": missing_y1,
            "bad_dim": bad_dim, "strings": strings}
     paths = {}

@@ -9,7 +9,7 @@ is evidence, not tautology. There is one oracle for each concept:
 - mean fidelity: average_fidelity_quadrature, and its free optimum
   average_optimum_scalar
 - clone: clone_pair_bruteforce (clone_bruteforce keeps clone a), on
-  apparatus vectors given as data or built by apparatus_vectors
+  apparatus vectors (Q0, Q1, Y0, Y1) given as data
 - channel: channel_output
 - POVM: povm_elements on the signals of signal_states
 - information: mutual_information_from_tables
@@ -17,6 +17,8 @@ is evidence, not tautology. There is one oracle for each concept:
   outcome_table, I and D) for any machine that machine_output takes
 - simulation: simulate_b92_reference, one trial at a time on attack's tables
 - RNG: trial_uniform, from splitmix64
+- test machines, as apparatus vectors: apparatus_vectors, unitary_vectors,
+  rotated and near_miss
 """
 
 import numpy as np
@@ -38,7 +40,7 @@ from scipy.stats import entropy as shannon_entropy
 # lambda_min(G(q)) is at most the smallest eigenvalue of any principal
 # submatrix, and the 2x2 ones on (Q0, Y0) and (Q0, Y1),
 # [[1-2z, k/2], [k/2, z]] and [[1-2z, e/2], [e/2, z]], do not involve q.
-# Where either eigenvalue is below -decide_tol no q can lift lambda_min(G(q))
+# Where either eigenvalue is below -DECIDE_TOL no q can lift lambda_min(G(q))
 # above it, so the search below would find that sample infeasible too, and
 # it is decided without one. For the rest, lambda_min(G(q)) is concave in q
 # (an infimum of affine functions) and 1-Lipschitz (dG/dq has unit spectral
@@ -58,11 +60,15 @@ def _lambda_min(z, e, k, q):
     return np.linalg.eigvalsh(g)[:, 0]
 
 
-def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
-                             coarse_points=9, max_refine=80):
+DECIDE_TOL = 1e-12   # a best eigenvalue within this of zero is not certified
+COARSE_POINTS = 9    # grid points over the q bracket before refinement
+MAX_REFINE = 80      # golden-section steps at most
+
+
+def gram_feasible_bruteforce(zetas, etas, kappas):
     """Boolean array: does some q make the Gram matrix PSD?
 
-    Samples whose best eigenvalue stays within ``decide_tol`` of zero after
+    Samples whose best eigenvalue stays within DECIDE_TOL of zero after
     refinement are reported by the sign of the best value found; callers
     comparing against a closed form should exclude near-boundary samples.
     """
@@ -72,9 +78,9 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
     answer = np.zeros(z.shape[0], dtype=bool)
     in_box = (z >= 0.0) & (z <= 0.5) & (e >= 0.0) & (k >= 0.0)
     # only in-box samples are searched, and only where the smaller eigenvalue
-    # of the two q-free 2x2 submatrices (e, k >= 0 there) is not below -decide_tol
+    # of the two q-free 2x2 submatrices (e, k >= 0 there) is not below -DECIDE_TOL
     sub_min = 0.5 * ((1.0 - z) - np.hypot(1.0 - 3.0 * z, np.maximum(e, k)))
-    searched = np.nonzero(in_box & (sub_min >= -decide_tol))[0]
+    searched = np.nonzero(in_box & (sub_min >= -DECIDE_TOL))[0]
     z, e, k = z[searched], e[searched], k[searched]
     n = z.shape[0]
 
@@ -82,10 +88,10 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
     qmax = 1.0 - 2.0 * z
     best = np.full(n, -np.inf)
     best_frac = np.zeros(n)
-    fracs = np.linspace(-1.0, 1.0, coarse_points)
+    fracs = np.linspace(-1.0, 1.0, COARSE_POINTS)
     for f in fracs:
         # a sample already found feasible is decided; the others go on
-        todo = np.nonzero(best < -decide_tol)[0]
+        todo = np.nonzero(best < -DECIDE_TOL)[0]
         lam = _lambda_min(z[todo], e[todo], k[todo], f * qmax[todo])
         better = lam > best[todo]
         best[todo] = np.where(better, lam, best[todo])
@@ -95,13 +101,13 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
     lo = np.maximum(best_frac - (fracs[1] - fracs[0]), -1.0) * qmax
     hi = np.minimum(best_frac + (fracs[1] - fracs[0]), 1.0) * qmax
 
-    feasible = best >= -decide_tol
+    feasible = best >= -DECIDE_TOL
     # certificate: true max <= best observed + half the unexplored width
-    undecided = ~feasible & (best + spacing > -decide_tol)
+    undecided = ~feasible & (best + spacing > -DECIDE_TOL)
     idx = np.nonzero(undecided)[0]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     it = 0
-    while idx.size and it < max_refine:
+    while idx.size and it < MAX_REFINE:
         it += 1
         a, b = lo[idx], hi[idx]
         x1 = b - inv_phi * (b - a)
@@ -112,9 +118,9 @@ def gram_feasible_bruteforce(zetas, etas, kappas, decide_tol=1e-12,
         lo[idx] = np.where(keep_right, x1, a)
         hi[idx] = np.where(keep_right, b, x2)
         best[idx] = np.maximum(best[idx], np.maximum(l1, l2))
-        feasible[idx] |= best[idx] >= -decide_tol
+        feasible[idx] |= best[idx] >= -DECIDE_TOL
         width = hi[idx] - lo[idx]
-        still = ~feasible[idx] & (best[idx] + 0.5 * width > -decide_tol)
+        still = ~feasible[idx] & (best[idx] + 0.5 * width > -DECIDE_TOL)
         idx = idx[still]
     answer[searched] = feasible
     return answer
@@ -152,12 +158,16 @@ def mutual_information_from_tables(p_u, p_v):
 
 # --- mean fidelity and its free optimum -----------------------------------
 
-def average_fidelity_quadrature(zeta, eta, kappa, nodes=100_000):
+QUADRATURE_NODES = 100_000
+
+
+def average_fidelity_quadrature(zeta, eta, kappa):
     """Trapezoid-rule mean of the Eastern-branch fidelity over [0, pi].
 
-    Agrees with the package's closed form to well below 1e-8 at 1e5 nodes.
+    Agrees with the package's closed form to well below 1e-8 at
+    QUADRATURE_NODES nodes.
     """
-    theta = np.linspace(0.0, np.pi, nodes)
+    theta = np.linspace(0.0, np.pi, QUADRATURE_NODES)
     st = np.sin(theta)
     f = (1 - zeta) - 0.5 * (1 - eta - 2 * zeta) * st * st + (kappa / 2) * st
     return float(np.trapezoid(f, theta) / np.pi)
@@ -235,6 +245,45 @@ def apparatus_vectors(zeta, eta, kappa):
             np.array([r, eta / (2 * s), kappa / (2 * s)]),
             np.array([0.0, s, 0.0]),
             np.array([0.0, 0.0, s]))
+
+
+def unitary_vectors(d, zeta, seed, overlap=0.0):
+    """(Q0, Q1, Y0, Y1) of a unitary machine in d dimensions: Y0 and Y1
+    orthogonal with |Y|^2 = zeta in random complex directions, then <Y0|Y1>
+    moved to `overlap` times a random phase by a component of Y1 along Y0
+    (which moves |Y1|^2 by overlap^2 / zeta only), and Q0 and Q1 random with
+    norm^2 1 - 2 zeta."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    s = np.sqrt(zeta)
+    y0, y1 = s * basis[:, 0], s * basis[:, 1]
+    if overlap:
+        y1 = y1 + overlap / s * np.exp(2j * np.pi * rng.uniform()) * basis[:, 0]
+    q0, q1 = (np.sqrt(1 - 2 * zeta) * v / np.linalg.norm(v)
+              for v in rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)))
+    return q0, q1, y0, y1
+
+
+def rotated(vectors, seed):
+    """The vectors turned by a seeded random complex unitary: same Gram matrix."""
+    rng = np.random.default_rng(seed)
+    d = len(vectors[0])
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return tuple(unitary @ v for v in vectors)
+
+
+def near_miss(vectors, zeta, residual, delta):
+    """A copy of a unitary machine with |Y0|^2 = |Y1|^2 = zeta whose
+    unitarity residual `residual` (row0_norm, row1_norm, y_orthogonality or
+    y_norm_balance) is moved to delta, the other three left at rounding."""
+    q0, q1, y0, y1 = vectors
+    grow_q = np.sqrt(1 + delta / (1 - 2 * zeta))
+    return {"row0_norm": (q0 * grow_q, q1, y0, y1),
+            "row1_norm": (q0, q1 * grow_q, y0, y1),
+            "y_orthogonality": (q0, q1, y0, y1 + delta / zeta * y0),
+            # |Y0|^2 up by delta and |Q0|^2 down by 2 delta keep row0_norm
+            "y_norm_balance": (q0 * np.sqrt(1 - 2 * delta / (1 - 2 * zeta)), q1,
+                               y0 * np.sqrt(1 + delta / zeta), y1)}[residual]
 
 
 def channel_output(fidelity, state):

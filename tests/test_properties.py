@@ -47,30 +47,13 @@ def rotated_machines(draw):
     radius = 2.0 * np.sqrt(zeta * (1.0 - 2.0 * zeta)) * draw(st.floats(0.0, 1.0))
     angle = draw(st.floats(0.0, np.pi / 2))
     base = synthesize(BHParams(zeta, radius * np.cos(angle), radius * np.sin(angle)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d = base.apparatus_dim
-    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    spec = CloningSpec(variant="explicit", name="rotated", apparatus_dim=d,
-                       q0=unitary @ base.q0, q1=unitary @ base.q1,
-                       y0=unitary @ base.y0, y1=unitary @ base.y1)
-    return base, spec
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return base, _explicit("rotated", oracles.rotated((base.q0, base.q1, base.y0, base.y1), seed))
 
 
-def _unitary_machine(d, zeta, overlap, seed):
-    """A unitary explicit machine in d dimensions: Y0 and Y1 orthogonal with
-    |Y|^2 = zeta in random complex directions, then <Y0|Y1> moved to
-    `overlap` times a random phase by a component of Y1 along Y0 (which
-    moves |Y1|^2 by overlap^2 / zeta only), and Q0 and Q1 random with
-    norm^2 1 - 2 zeta."""
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    s = np.sqrt(zeta)
-    y0, y1 = s * basis[:, 0], s * basis[:, 1]
-    if overlap:
-        y1 = y1 + overlap / s * np.exp(2j * np.pi * rng.uniform()) * basis[:, 0]
-    q0, q1 = (np.sqrt(1 - 2 * zeta) * v / np.linalg.norm(v)
-              for v in rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)))
-    return CloningSpec(variant="explicit", name="unitary", apparatus_dim=d,
+def _explicit(name, vectors):
+    q0, q1, y0, y1 = vectors
+    return CloningSpec(variant="explicit", name=name, apparatus_dim=len(q0),
                        q0=q0, q1=q1, y0=y0, y1=y1)
 
 
@@ -80,12 +63,12 @@ def unitary_machines(draw):
     d = draw(st.sampled_from([2, 3, 4]))
     zeta = draw(st.floats(0.0, 0.5))
     overlap = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99))) * UNITARITY_TOL
-    return _unitary_machine(d, zeta, overlap if zeta >= 0.01 else 0.0,
-                            draw(st.integers(0, 2 ** 32 - 1)))
+    return _explicit("unitary", oracles.unitary_vectors(
+        d, zeta, draw(st.integers(0, 2 ** 32 - 1)), overlap if zeta >= 0.01 else 0.0))
 
 
 # D_u and D_v differ here (0.199 and 0.195 at vartheta = 0.3); <Y0|Y1> is 0.9 UNITARITY_TOL
-UNEVEN = _unitary_machine(4, 0.15, 0.9 * UNITARITY_TOL, 0)
+UNEVEN = _explicit("unitary", oracles.unitary_vectors(4, 0.15, 0, 0.9 * UNITARITY_TOL))
 
 
 @SETTINGS

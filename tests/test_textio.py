@@ -18,9 +18,9 @@ def test_basic_rendering():
     assert format_float(float("inf")) == "inf"
     assert format_float(-math.inf) == "-inf"
     assert format_float(-2.5e7).endswith("e+07")
-    # the positional window [1e-4, 1e6) at each edge and its neighbouring floats
-    edges = {1e-4: ("1.00000000000e-04", "0.0001", "0.0001"),
-             1e6: ("1000000", "1.00000000000e+06", "1.00000000000e+06")}
+    # the window [1e-4, 1e6) at each edge and its neighbours, which print as the edge
+    edges = {1e-4: ("0.0001", "0.0001", "0.0001"),
+             1e6: ("1.00000000000e+06", "1.00000000000e+06", "1.00000000000e+06")}
     for edge, texts in edges.items():
         xs = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
         assert tuple(map(format_float, xs)) == texts
@@ -39,7 +39,10 @@ def test_roundtrip_idempotence():
     rng = np.random.default_rng(17)
     mags = rng.uniform(-12, 12, 500)
     xs = np.sign(rng.normal(size=500)) * 10.0 ** mags * rng.uniform(1, 10, 500)
-    for x in xs:
+    # just below each edge of the window, where 12 digits round up to the edge
+    edges = [9.99999999999995e-05, np.nextafter(1e-4, 0.0), 999999.9999996,
+             np.nextafter(1e6, 0.0)]
+    for x in [*xs, *edges, *(-x for x in edges)]:
         s = format_float(float(x))
         assert format_float(float(s)) == s
 

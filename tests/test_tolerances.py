@@ -41,6 +41,8 @@ from qclone.qcore import (
     fidelity,
 )
 
+import oracles
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qclone"
 TOLERANCES = ("HERM_TOL", "TRACE_TOL", "PSD_TOL", "UNITARITY_TOL", "JOINT_NORM_TOL",
               "UNIT_CUT", "FEASIBILITY_TOL", "BOUNDARY_TOL")
@@ -168,18 +170,9 @@ RESIDUALS = ("row0_norm", "row1_norm", "y_orthogonality", "y_norm_balance")
 
 
 def _unitarity_residual(name, d):
-    """Constructs the meridional machine (<Qi|Qi> = 0.8, <Yi|Yi> = 0.1) with
-    the residual `name` moved to d and the other three left at rounding."""
+    """The meridional machine (<Yi|Yi> = 0.1) with the residual `name` moved to d."""
     base = meridional_spec()
-    q0, q1, y0, y1 = base.q0, base.q1, base.y0, base.y1
-    if name == "row0_norm":
-        q0 = np.sqrt((0.8 + d) / 0.8) * q0
-    elif name == "row1_norm":
-        q1 = np.sqrt((0.8 + d) / 0.8) * q1
-    elif name == "y_orthogonality":
-        y1 = y1 + [d * np.sqrt(10.0), 0.0]  # <Y0|Y1> = d
-    else:  # |Y1|^2 down by d, <Q1|Q1> up by 2d: row 1 still sums to 1
-        q1, y1 = np.sqrt((0.8 + 2 * d) / 0.8) * q1, np.sqrt((0.1 - d) / 0.1) * y1
+    q0, q1, y0, y1 = oracles.near_miss((base.q0, base.q1, base.y0, base.y1), 0.1, name, d)
     return CloningSpec(variant="explicit", apparatus_dim=2, q0=q0, q1=q1, y0=y0, y1=y1)
 
 
