@@ -25,6 +25,7 @@ character (see machines._has_control; and `validate` on a failing spec),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import sys
@@ -246,29 +247,32 @@ _RECORDS = {"validate": _cmd_validate, "optimize": _cmd_optimize,
 
 
 def _dispatch(args):
-    """Returns (rendered output, exit status)."""
+    """Returns (the rendered output as a list of chunks, exit status)."""
     command = args.b92_command if args.command == "b92" else args.command
     if command in _TABLES:
         header, table = _TABLES[command](args)
         return render_table(header, table, sep="\t" if args.format == "text" else ","), 0
     items, status = _RECORDS[command](args)
     render = render_records_csv if args.format == "csv" else render_records_text
-    return render(items), status
+    return [render(items)], status
 
 
-def _write_output(text: str, out: str | None) -> None:
-    """Writes text as UTF-8 to the file `out`, or to stdout, in any locale."""
-    data = text.encode("utf-8")
-    if out is None:
-        if sys.stdout is None:  # started with stdout closed
-            raise OSError("standard output is closed")
-        sys.stdout.flush()  # text written to stdout earlier stays first
-        view = memoryview(data)  # unbuffered, stdout.buffer is raw and may write part
-        while view:
-            view = view[sys.stdout.buffer.write(view):]
-    else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+def _open_output(out: str | None):
+    """The binary file `out`, or stdout's, as a context that closes only a file."""
+    if out is not None:
+        return open(out, "wb")
+    if sys.stdout is None:  # started with stdout closed
+        raise OSError("standard output is closed")
+    sys.stdout.flush()  # text written to stdout earlier stays first
+    return contextlib.nullcontext(sys.stdout.buffer)
+
+
+def _write_output(text: str, fh) -> None:
+    """Writes text as UTF-8 to the binary file fh, in any locale, until every
+    byte is out: unbuffered, stdout.buffer is raw and its write() may take part."""
+    view = memoryview(text.encode("utf-8"))
+    while view:
+        view = view[fh.write(view):]
 
 
 def run(argv=None) -> int:
@@ -278,8 +282,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return exc.code
     try:
-        text, status = _dispatch(args)
-        _write_output(text, args.out)
+        chunks, status = _dispatch(args)
+        with _open_output(args.out) as fh:
+            for text in chunks:
+                _write_output(text, fh)
     except (SpecFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
@@ -300,6 +301,20 @@ def test_out_flag_writes_identical_bytes(tmp_path):
     assert res.stdout == ""
     piped = qclone("fidelity", "--machine", "meridional", "--points", "19")
     assert target.read_text() == piped.stdout
+
+
+def test_scan_to_a_file_peaks_under_24_mb(tmp_path):
+    # the 7 MB float table and 8.86 MB of text in chunks; a whole-table
+    # string, a whole-table array of cell texts or an encoded copy of the
+    # whole text would each add another 7-9 MB
+    tracemalloc.start()
+    try:
+        status = cli.run(["scan", "--grid-steps", "56", "--out", str(tmp_path / "scan.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 24e6
 
 
 def test_closed_stdout_is_one_error_line_and_exit_1():

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.textio import (format_float, format_value, render_records_csv, render_records_text,
-                           render_table)
+from qclone import textio
+from qclone.optimizer import scan_feasible_region
+from qclone.textio import (BLOCK_ROWS, format_float, format_value, render_records_csv,
+                           render_records_text, render_table)
 
 
 def test_basic_rendering():
@@ -48,17 +52,17 @@ def test_roundtrip_idempotence():
 
 
 def test_render_table_and_records():
-    table = render_table(("a", "b"), [(1, 0.5), (2, 0.25)])
+    table = "".join(render_table(("a", "b"), [(1, 0.5), (2, 0.25)]))
     assert table == "a,b\n1,0.5\n2,0.25\n"
     cells = np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-5, 1e-4],
                       [1e6, 1e12, 0.0], [1.0, -1.0, np.pi]])
     for sep in (",", "\t"):
-        lines = render_table(("x", "y", "z"), cells, sep).split("\n")
+        lines = "".join(render_table(("x", "y", "z"), cells, sep)).split("\n")
         assert lines[0] == sep.join(("x", "y", "z")) and lines[-1] == ""
         assert len(lines) == len(cells) + 2
         for line, row in zip(lines[1:], cells):
             assert line == sep.join(format_float(x) for x in row)
-    assert render_table(("x", "y", "z"), cells).split("\n")[1] == "0,nan,inf"
+    assert "".join(render_table(("x", "y", "z"), cells)).split("\n")[1] == "0,nan,inf"
     recs = render_records_text([("x", 1), ("y", "ok")])
     assert recs == "x=1\ny=ok\n"
 
@@ -85,7 +89,7 @@ def pooled_tables(draw):
 def test_render_table_matches_per_cell_formatting(cells, sep):
     header = [f"c{j}" for j in range(cells.shape[1])]
     lines = [sep.join(header)] + [sep.join(map(format_float, row)) for row in cells.tolist()]
-    assert render_table(header, cells, sep) == "\n".join(lines) + "\n"
+    assert "".join(render_table(header, cells, sep)) == "\n".join(lines) + "\n"
 
 
 def test_render_table_at_scale_matches_per_cell_formatting():
@@ -100,7 +104,41 @@ def test_render_table_at_scale_matches_per_cell_formatting():
     header = [f"c{j}" for j in range(shape[1])]
     for sep in (",", "\t"):
         lines = [sep.join(header)] + [sep.join(map(format_float, row)) for row in cells.tolist()]
-        assert render_table(header, cells, sep) == "\n".join(lines) + "\n"
+        assert "".join(render_table(header, cells, sep)) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 1])
+def test_render_table_chunks(rows, monkeypatch):
+    # pooled values repeat across blocks, so a column formatted block by
+    # block would call format_float more often than it has distinct values
+    rng = np.random.default_rng(rows)
+    cells = np.array(CELL_POOL)[rng.integers(len(CELL_POOL), size=(rows, 3))]
+    header = ["a", "b", "c"]
+    lines = [",".join(header)] + [",".join(map(format_float, row)) for row in cells.tolist()]
+    calls = []
+    monkeypatch.setattr(textio, "format_float", lambda x: calls.append(x) or format_float(x))
+    chunks = render_table(header, cells)
+    assert "".join(chunks) == "\n".join(lines) + "\n"
+    assert chunks[0].startswith("a,b,c\n")
+    assert len(chunks) == max(1, math.ceil(rows / BLOCK_ROWS))
+    for chunk in chunks:
+        assert chunk.endswith("\n")
+        assert chunk.count("\n") - chunk.startswith("a,b,c\n") <= BLOCK_ROWS
+    assert len(calls) == sum(len(np.unique(col)) for col in cells.T)
+
+
+def test_render_table_peak_memory_is_about_the_text():
+    # the scan --grid-steps 56 table: 175,616 rows and 8.86 MB of text, which
+    # three whole-table copies took to 2.84 times the text's length
+    table = scan_feasible_region(56)
+    tracemalloc.start()
+    try:
+        chunks = render_table(("zeta", "eta", "kappa", "feasible", "avg_fidelity"), table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * sum(map(len, chunks)) + 2**20
 
 
 def test_csv_records_quote_only_fields_that_need_it():
