@@ -8,61 +8,31 @@ eavesdropper on the B92 key-distribution protocol, analytically and by
 seeded Monte Carlo simulation.
 """
 
-from .qcore import bloch_amplitudes, fidelities
-from .machines import (
-    BHParams,
-    BUILTIN_MACHINES,
-    CloningSpec,
-    builtin_spec,
-    channel_spec,
-    feasible,
-    fidelity_closed_form,
-    load_spec,
-    marginals,
-    meridional_spec,
-    reduced_output_closed_form,
-    save_spec,
-    synthesize,
-    validate_unitarity,
-    wootters_zurek_spec,
-)
-from .optimizer import (
-    average_fidelity,
-    optimize_average,
-    optimize_equal_fidelity,
-    scan_feasible_region,
-)
-from .b92 import (
-    attack_analysis,
-    info_curve,
-    simulate_protocol,
-)
+from importlib import import_module
+
+# Each public name and the module that defines it. A name's module is
+# imported on first use of the name, so `import qclone` loads no numpy.
+_EXPORTS = {
+    "bloch_amplitudes": "qcore", "fidelities": "qcore",
+    "BHParams": "machines", "BUILTIN_MACHINES": "machines", "CloningSpec": "machines",
+    "builtin_spec": "machines", "channel_spec": "machines", "feasible": "machines",
+    "fidelity_closed_form": "machines", "load_spec": "machines", "marginals": "machines",
+    "meridional_spec": "machines", "reduced_output_closed_form": "machines",
+    "save_spec": "machines", "synthesize": "machines", "validate_unitarity": "machines",
+    "wootters_zurek_spec": "machines",
+    "average_fidelity": "optimizer", "optimize_average": "optimizer",
+    "optimize_equal_fidelity": "optimizer", "scan_feasible_region": "optimizer",
+    "attack_analysis": "b92", "info_curve": "b92", "simulate_protocol": "b92",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BHParams",
-    "BUILTIN_MACHINES",
-    "CloningSpec",
-    "attack_analysis",
-    "average_fidelity",
-    "bloch_amplitudes",
-    "builtin_spec",
-    "channel_spec",
-    "feasible",
-    "fidelities",
-    "fidelity_closed_form",
-    "info_curve",
-    "load_spec",
-    "marginals",
-    "meridional_spec",
-    "optimize_average",
-    "optimize_equal_fidelity",
-    "reduced_output_closed_form",
-    "save_spec",
-    "scan_feasible_region",
-    "simulate_protocol",
-    "synthesize",
-    "validate_unitarity",
-    "wootters_zurek_spec",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import b92, machines, optimizer
+from . import machines  # b92 and optimizer: imported by the handlers that use them
 from .qcore import bloch_amplitudes, fidelities
 from .qcore import fidelity  # noqa: F401  (bench/tracer.py wraps cli.fidelity)
 from .textio import render_records_csv, render_records_text, render_table
@@ -179,6 +179,7 @@ def _cmd_fidelity(args):
 
 
 def _cmd_optimize(args):
+    from . import optimizer
     if args.mode == "equal-fidelity":
         result = optimizer.optimize_equal_fidelity()
     else:
@@ -193,11 +194,13 @@ def _cmd_optimize(args):
 
 
 def _cmd_scan(args):
+    from . import optimizer
     header = ("zeta", "eta", "kappa", "feasible", "avg_fidelity")
     return header, optimizer.scan_feasible_region(args.grid_steps)
 
 
 def _cmd_b92_curve(args):
+    from . import b92
     tokens = [t for t in args.machines.split(",") if t]
     if not tokens:
         raise ValueError("--machines needs at least one machine")
@@ -221,6 +224,7 @@ def _cmd_b92_curve(args):
 
 
 def _cmd_b92_analyze(args):
+    from . import b92
     vartheta = b92._check_vartheta(_angle(args.vartheta, args.degrees))
     spec, label = _resolve_machine(args.machine)
     res = b92.attack_analysis(spec, vartheta)
@@ -235,6 +239,7 @@ def _cmd_b92_analyze(args):
 
 
 def _cmd_b92_simulate(args):
+    from . import b92
     vartheta, n, seed = b92._check_run(_angle(args.vartheta, args.degrees), args.n, args.seed)
     spec, label = _resolve_machine(args.machine, allow_none=True)
     run = b92.simulate_protocol(spec, vartheta, n, seed)
@@ -297,6 +302,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     gc.freeze()  # shutdown's collections then skip the objects the imports made
+    gc.enable()  # after the freeze: `python -m qclone` paused it for the imports
     sys.exit(run(sys.argv[1:]))
 
 

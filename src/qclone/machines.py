@@ -63,7 +63,6 @@ needs; their joint two-clone correlations are out of scope.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -395,6 +394,7 @@ def spec_from_dict(doc: dict) -> CloningSpec:
 
 def save_spec(spec: CloningSpec, path) -> None:
     """Write a machine-spec file (UTF-8 JSON, LF line endings)."""
+    import json  # here and in load_spec, so commands that read no file never load it
     doc = {"name": spec.name, "variant": spec.variant}
     if spec.variant == "explicit":
         doc["apparatus_dim"] = spec.apparatus_dim
@@ -408,6 +408,7 @@ def save_spec(spec: CloningSpec, path) -> None:
 
 def load_spec(path) -> CloningSpec:
     """Read a machine-spec file written by save_spec; JSON is UTF-8 (RFC 8259)."""
+    import json
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -12,7 +12,7 @@ survivors known to change nothing a test could see, each with the reason.
 The run prints one line per mutant and exits 1 if a mutant outside
 EQUIVALENT survives, or if a fragment no longer occurs exactly once in its
 module (the mutant is stale). A survivor costs one full tier-1 run, about
-30 s on a shared two-core VM, and the whole probe of 61 mutants about 14
+30 s on a shared two-core VM, and the whole probe of 65 mutants about 15
 minutes.
 
 pytest does not collect this file: its name does not match test_*.py.
@@ -128,6 +128,12 @@ MUTANTS = [
      "                                dtype=object)\n"
      "            texts[:len(block), j] = distinct["),
     ("first-chunk-only", "cli", "for text in chunks:", "for text in chunks[:1]:"),
+    # the lazy package and the imports of each command, checked in child processes
+    ("no-enable", "cli",
+     "    gc.enable()  # after the freeze: `python -m qclone` paused it for the imports\n", ""),
+    ("b92-at-top", "cli", "from . import machines  #", "from . import b92, machines  #"),
+    ("export-wrong-module", "__init__", '"BHParams": "machines"', '"BHParams": "optimizer"'),
+    ("json-at-top", "machines", "import math\n", "import json\nimport math\n"),
 ]
 
 EQUIVALENT = {

@@ -346,18 +346,58 @@ def test_broken_pipe_is_one_error_line_and_exit_1(unbuffered):
 
 
 def test_entry_point_freezes_the_imported_heap():
-    # a child process, since the freeze is for the process's exit: cli.main
-    # moves the objects the imports made to the permanent generation, which
-    # the collections at interpreter shutdown skip
+    # child processes, since the collector's state and the freeze belong to
+    # the process: `python -m qclone` pauses the collector while numpy and the
+    # package are imported, and cli.main moves the objects the imports made to
+    # the permanent generation, which the collections at interpreter shutdown
+    # skip, and then enables the collector
     argv = ["optimize", "--mode", "average"]
     script = ("import atexit, gc, runpy, sys\n"
-              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
+              "early = []  # collections that start before the freeze\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+              "                    and not gc.get_freeze_count() and early.append(info))\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, 'early',\n"
+              "                              len(early), 'enabled', gc.isenabled(),\n"
               "                              file=sys.stderr))\n"
               "runpy.run_module('qclone', run_name='__main__')\n")
     res = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
     assert res.returncode == 0
-    assert res.stderr == b"frozen True\n"
+    assert res.stderr == b"frozen True early 0 enabled True\n"
     assert res.stdout == qclone(*argv).stdout.encode("utf-8")
+    # importing the package from library code leaves the collector as it was
+    for state in ("enable", "disable"):
+        script = (f"import gc; gc.{state}(); before = gc.isenabled()\n"
+                  "import qclone, qclone.cli\n"
+                  "print(before, gc.isenabled())\n")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stdout == f"{state == 'enable'} {state == 'enable'}\n"
+
+
+@pytest.mark.parametrize("argv, unwanted", [
+    (["optimize", "--mode", "average"], {"qclone.b92", "qclone.rng", "json"}),
+    (["validate", "--spec", "SPEC"], {"qclone.b92", "qclone.rng", "qclone.optimizer"}),
+    (["fidelity", "--machine", "meridional", "--points", "1"],
+     {"qclone.b92", "qclone.rng", "qclone.optimizer", "json"}),
+    (["b92", "simulate", "--machine", "meridional", "--vartheta", "0.7", "--n", "1000",
+      "--seed", "5"], {"qclone.optimizer", "json"}),
+], ids=["optimize", "validate", "fidelity-error", "b92-simulate"])
+def test_commands_import_only_what_they_use(tmp_path, argv, unwanted):
+    # child processes, since only a fresh interpreter shows what a command
+    # imports; -X importtime lists every module the process imports, and a
+    # module a bare interpreter imports as well is not the command's
+    def imported(*args):
+        res = subprocess.run([sys.executable, "-X", "importtime", *args],
+                             capture_output=True, text=True)
+        return {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    spec = tmp_path / "spec.json"
+    save_spec(meridional_spec(), spec)
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    new = imported("-m", "qclone", *argv) - imported("-c", "pass")
+    assert {"numpy", "qclone.machines", "qclone.cli"} <= new
+    assert not new & unwanted
 
 
 def test_csv_roundtrip_reemit_byte_identical():

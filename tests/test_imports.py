@@ -1,6 +1,7 @@
 """Every import in src/qclone is either used or pinned by the benchmark tracer.
 
-`__init__` re-exports exactly the names in `__all__`. In every other module,
+`__init__` exports exactly the names in `__all__`, each on first use from the
+module that defines it, and imports nothing else. In every other module,
 an import that nothing else in the module uses must carry `noqa: F401` and
 name the `bench/tracer.py` TARGETS entry that wraps it. A deletion that
 leaves a dead import then fails here, and the tracer-only imports stay an
@@ -10,7 +11,12 @@ unitarity check and the apparatus inner products at construction.
 """
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
+
+import qclone
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qclone"
@@ -43,11 +49,43 @@ def _imports(tree):
                 yield (alias.asname or alias.name).split(".")[0], alias.lineno
 
 
+def _defined(module):
+    """Names that a package module binds at module level by a definition or an
+    assignment, not by an import."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_init_imports_exactly_all():
+    """`__init__` binds no package name at import: its lazy table, whose keys
+    are `__all__`, names the module that defines each, and the name resolves
+    to that module's object on first use. Any other name is an
+    AttributeError, and the submodules import by name."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = ast.literal_eval(_assigned(tree, "__all__"))
-    assert len(set(exported)) == len(exported)
-    assert sorted(name for name, _ in _imports(tree)) == sorted(exported)
+    assert [name for name, _ in _imports(tree)] == ["import_module"]
+    table = ast.literal_eval(_assigned(tree, "_EXPORTS"))
+    assert sorted(table) == sorted(set(qclone.__all__)) == qclone.__all__
+    assert len(qclone.__all__) == 24
+    for name, module in table.items():
+        assert name in _defined(module), f"qclone.{module} does not define {name}"
+        assert getattr(qclone, name) is getattr(sys.modules[f"qclone.{module}"], name)
+    namespace = {}
+    exec("from qclone import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == qclone.__all__
+    for name in ("nonexistent", "json", "np", "fidelity"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(qclone, name)
+    # a submodule still imports by name, as bench/run.py's import_qclone does
+    from qclone import b92, cli, machines, optimizer, qcore, rng, textio
+    imported = (b92, cli, machines, optimizer, qcore, rng, textio)
+    names = ("b92", "cli", "machines", "optimizer", "qcore", "rng", "textio")
+    for name, module in zip(names, imported):
+        assert module is sys.modules[f"qclone.{name}"]
 
 
 def test_unused_imports_are_the_tracer_pinned_ones():
@@ -100,10 +138,7 @@ def test_per_state_layer_stays_unexported_and_unused():
     and fidelity, and machines.clone) is not exported, and no module but
     qcore uses it, apart from the imports the tracer pins and clone's own
     body. Deleting it then touches nothing else in the package."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = set(ast.literal_eval(_assigned(tree, "__all__")))
-    imported = {name for name, _ in _imports(tree)}
-    assert not (exported | imported) & set(PER_STATE), "the package exports a per-state name"
+    assert not set(qclone.__all__) & set(PER_STATE), "the package exports a per-state name"
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in ("__init__.py", "qcore.py"):
             continue
