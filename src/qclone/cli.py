@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import math
 import sys
 from pathlib import Path
@@ -280,7 +279,7 @@ def _write_output(text: str, fh) -> None:
         view = view[fh.write(view):]
 
 
-def run(argv=None) -> int:
+def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -298,13 +297,3 @@ def run(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return status
-
-
-def main() -> None:
-    gc.freeze()  # shutdown's collections then skip the objects the imports made
-    gc.enable()  # after the freeze: `python -m qclone` paused it for the imports
-    sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

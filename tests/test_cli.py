@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -139,6 +140,12 @@ def test_missing_or_invalid_spec_file_exits_1(tmp_path):
     assert bad.exists()
     assert qclone("validate", "--spec", str(bad)).returncode == 1
     assert qclone("fidelity", "--machine", str(bad)).returncode == 1
+    for text in ("[1, 2]", '"x"', "null", "3"):  # JSON, but not an object
+        bad.write_text(text)
+        for args in (["validate", "--spec", str(bad)],
+                     ["b92", "analyze", "--machine", str(bad), "--vartheta", "0.5"]):
+            assert qclone(*args) == (1, "", f"error: invalid machine file {str(bad)!r}: "
+                                     "machine file must be a mapping\n"), (text, args)
 
 
 def test_flag_domains_are_checked_before_the_machine_file(tmp_path):
@@ -188,29 +195,6 @@ def test_spec_files_are_read_as_utf8_in_any_locale(tmp_path):
         assert spawn(*args, "--out", str(report), env=env).returncode == 0
         assert res.stdout == report.read_bytes()
         assert "caf\u00e9".encode("utf-8") in res.stdout
-
-
-def test_table_commands_leave_numpy_ma_unimported(tmp_path):
-    # a child process, since only a fresh interpreter shows what the commands
-    # import; numpy 2's np.unique without return_* flags calls
-    # np.ma.is_masked, which imports numpy.ma at a start-up cost, and no
-    # table command needs it
-    script = (
-        "import sys, numpy\n"
-        "preloaded = 'numpy.ma' in sys.modules\n"
-        "from qclone import cli\n"
-        "out = ['--out', sys.argv[1]]\n"
-        "assert cli.run(['scan', '--grid-steps', '6', *out]) == 0\n"
-        "assert cli.run(['fidelity', '--machine', 'meridional', '--points', '9', *out]) == 0\n"
-        "assert cli.run(['b92', 'curve', '--machines', 'meridional,universal',\n"
-        "                '--overlap-min', '0.1', '--overlap-max', '0.9', '--points', '9',\n"
-        "                *out]) == 0\n"
-        "print(preloaded, 'numpy.ma' in sys.modules)\n")
-    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "table.csv")],
-                         capture_output=True, text=True)
-    assert res.returncode == 0 and res.stderr == ""
-    preloaded, loaded = res.stdout.split()
-    assert preloaded == "True" or loaded == "False"
 
 
 @pytest.mark.parametrize("doc, drop, field", [
@@ -348,7 +332,7 @@ def test_broken_pipe_is_one_error_line_and_exit_1(unbuffered):
 def test_entry_point_freezes_the_imported_heap():
     # child processes, since the collector's state and the freeze belong to
     # the process: `python -m qclone` pauses the collector while numpy and the
-    # package are imported, and cli.main moves the objects the imports made to
+    # package are imported, and the entry moves the objects the imports made to
     # the permanent generation, which the collections at interpreter shutdown
     # skip, and then enables the collector
     argv = ["optimize", "--mode", "average"]
@@ -374,6 +358,15 @@ def test_entry_point_freezes_the_imported_heap():
         assert res.stdout == f"{state == 'enable'} {state == 'enable'}\n"
 
 
+@functools.cache  # so each baseline interpreter runs once per session
+def _imported(*args):
+    """The modules `python -X importtime ARGS` lists as imported."""
+    res = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True)
+    return {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv, unwanted", [
     (["optimize", "--mode", "average"], {"qclone.b92", "qclone.rng", "json"}),
     (["validate", "--spec", "SPEC"], {"qclone.b92", "qclone.rng", "qclone.optimizer"}),
@@ -381,23 +374,25 @@ def test_entry_point_freezes_the_imported_heap():
      {"qclone.b92", "qclone.rng", "qclone.optimizer", "json"}),
     (["b92", "simulate", "--machine", "meridional", "--vartheta", "0.7", "--n", "1000",
       "--seed", "5"], {"qclone.optimizer", "json"}),
-], ids=["optimize", "validate", "fidelity-error", "b92-simulate"])
+    (["scan", "--grid-steps", "6"], {"qclone.b92", "qclone.rng", "json", "numpy.ma"}),
+    (["fidelity", "--machine", "meridional", "--points", "9"],
+     {"qclone.b92", "qclone.rng", "qclone.optimizer", "json", "numpy.ma"}),
+    (["b92", "curve", "--machines", "meridional,universal", "--overlap-min", "0.1",
+      "--overlap-max", "0.9", "--points", "9"], {"qclone.optimizer", "json", "numpy.ma"}),
+], ids=["optimize", "validate", "fidelity-error", "b92-simulate", "scan", "fidelity",
+        "b92-curve"])
 def test_commands_import_only_what_they_use(tmp_path, argv, unwanted):
     # child processes, since only a fresh interpreter shows what a command
-    # imports; -X importtime lists every module the process imports, and a
-    # module a bare interpreter imports as well is not the command's
-    def imported(*args):
-        res = subprocess.run([sys.executable, "-X", "importtime", *args],
-                             capture_output=True, text=True)
-        return {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
-                if line.startswith("import time:")}
-
+    # imports; a module a bare interpreter imports as well is not the
+    # command's, nor is one that numpy's own import brings. numpy 2's
+    # np.unique without return_* flags calls np.ma.is_masked, which imports
+    # numpy.ma at a start-up cost, and no table command needs it
     spec = tmp_path / "spec.json"
     save_spec(meridional_spec(), spec)
     argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
-    new = imported("-m", "qclone", *argv) - imported("-c", "pass")
+    new = _imported("-m", "qclone", *argv) - _imported("-c", "pass")
     assert {"numpy", "qclone.machines", "qclone.cli"} <= new
-    assert not new & unwanted
+    assert not new & (unwanted - _imported("-c", "import numpy"))
 
 
 def test_csv_roundtrip_reemit_byte_identical():

@@ -5,9 +5,9 @@ module that defines it, and imports nothing else. In every other module,
 an import that nothing else in the module uses must carry `noqa: F401` and
 name the `bench/tracer.py` TARGETS entry that wraps it. A deletion that
 leaves a dead import then fails here, and the tracer-only imports stay an
-exact list of what the tracer still pins. The input rules for numbers live
-in `qcore` alone, which a second guard checks. Further guards keep the
-unitarity check and the apparatus inner products at construction.
+exact list of what the tracer still pins. A second guard keeps the number
+rules in `qcore` and `gc` in `__main__`; others keep the unitarity check
+and the apparatus inner products at construction.
 """
 
 import ast
@@ -155,13 +155,14 @@ def test_number_rules_live_in_qcore():
     """qcore's _numbers, _real and _integer are the package's only rules for
     what a number is: only qcore (input rules) and textio (output formatting)
     import `numbers`, no other module calls `isfinite`, and no other module
-    defines a rule of the same name."""
+    defines a rule of the same name. Only `__main__`, the process entry, imports `gc`."""
     rules = {"_numbers", "_real", "_integer"}
+    importers = {"numbers": set(), "gc": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         module = path.stem
-        if module not in ("qcore", "textio"):
-            assert "numbers" not in {name for name, _ in _imports(tree)}, module
+        for name in {name for name, _ in _imports(tree)} & set(importers):
+            importers[name].add(module)
         if module == "qcore":
             continue
         calls = [node.lineno for node in ast.walk(tree)
@@ -170,6 +171,7 @@ def test_number_rules_live_in_qcore():
         assert not calls, f"{module} checks finiteness itself at lines {calls}"
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & rules, f"{module} defines {defined & rules}"
+    assert importers == {"numbers": {"qcore", "textio"}, "gc": {"__main__"}}, importers
 
 
 def _scoped_nodes(node, scope=""):

@@ -94,8 +94,9 @@ def test_validation_flags_parallel_y_vectors():
 
 
 def test_validate_unitarity_rejects_channel():
-    with pytest.raises(ValueError):
-        validate_unitarity(channel_spec(0.9))
+    for check in (validate_unitarity, CloningSpec.bh_params):
+        with pytest.raises(ValueError):
+            check(channel_spec(0.9))
 
 
 def test_each_builtin_is_constructed_once(monkeypatch):
